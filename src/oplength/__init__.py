@@ -21,6 +21,7 @@ from .certs import (
     add,
     conjugate,
     cost,
+    direct_sum,
     dnorm_bounds,
     evaluate,
     pad,

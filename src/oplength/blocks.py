@@ -19,6 +19,7 @@ __all__ = [
     "DiagonalMatrix",
     "ShapeMismatchError",
     "HermitianError",
+    "block_diag",
     "inflate",
     "scalar_norm",
     "operator_norm",
@@ -158,11 +159,21 @@ class DiagonalMatrix:
         return DiagonalMatrix(self.entries * c)
 
     def dense(self) -> np.ndarray:
-        N, k, _ = self.entries.shape
-        out = np.zeros((N * k, N * k), dtype=np.complex128)
-        for i in range(N):
-            out[i * k:(i + 1) * k, i * k:(i + 1) * k] = self.entries[i]
-        return out
+        return block_diag(self.entries)
+
+
+def block_diag(mats) -> np.ndarray:
+    """The complex matrix with the 2-d arrays ``mats`` along its diagonal, zero elsewhere."""
+    mats = list(mats)
+    out = np.zeros(
+        (sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=np.complex128
+    )
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r += m.shape[0]
+        c += m.shape[1]
+    return out
 
 
 def inflate(alpha: np.ndarray, k: int) -> np.ndarray:

@@ -11,7 +11,7 @@ witness upper bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .blocks import (
     BlockMatrix,
     DiagonalMatrix,
     ShapeMismatchError,
+    block_diag,
     inflate,
     operator_norm,
     scalar_norm,
@@ -33,6 +34,7 @@ __all__ = [
     "verify",
     "pad",
     "add",
+    "direct_sum",
     "conjugate",
     "rebalance",
     "rebalance_diags",
@@ -52,7 +54,6 @@ class FactorizationCertificate:
 
     alphas: tuple  # d+1 scalar ndarrays
     diags: tuple   # d DiagonalMatrix
-    claimed_cost: float = field(default=-1.0)
 
     def __post_init__(self):
         alphas = tuple(np.asarray(a, dtype=np.complex128) for a in self.alphas)
@@ -71,8 +72,6 @@ class FactorizationCertificate:
             raise ShapeMismatchError("outer shape is not square")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "diags", diags)
-        if self.claimed_cost < 0:
-            object.__setattr__(self, "claimed_cost", cost(self))
 
     @property
     def d(self) -> int:
@@ -106,14 +105,7 @@ class VerificationReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "recon_error": self.recon_error,
-            "cost": self.cost,
-            "lower": self.lower,
-            "ratio": self.ratio,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
@@ -134,7 +126,7 @@ def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
 
 
 def cost(cert: FactorizationCertificate) -> float:
-    """Product of factor norms, always recomputed (claimed_cost is advisory)."""
+    """Product of factor norms, always recomputed from the factors."""
     c = 1.0
     for a in cert.alphas:
         c *= scalar_norm(a)
@@ -144,7 +136,10 @@ def cost(cert: FactorizationCertificate) -> float:
 
 
 def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) -> VerificationReport:
-    """Check that the certificate reproduces x within tol (relative to max(1, ||x||))."""
+    """Check that the certificate reproduces x within tol (relative to max(1, ||x||)).
+
+    A certificate whose cost is not finite certifies no bound and fails.
+    """
     if x.m != x.n or cert.n != x.n or cert.k != x.k:
         raise ShapeMismatchError(
             f"certificate shape ({cert.n}, k={cert.k}) does not match "
@@ -161,7 +156,7 @@ def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) ->
         lower=lower,
         ratio=ratio,
         tol=tol,
-        passed=bool(recon <= tol * max(1.0, lower)),
+        passed=bool(recon <= tol * max(1.0, lower) and np.isfinite(c)),
     )
 
 
@@ -231,11 +226,21 @@ def _split_outer(cert: FactorizationCertificate) -> FactorizationCertificate:
     return FactorizationCertificate(alphas, cert.diags)
 
 
-def _direct_sum_scalar(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.complex128)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
+def direct_sum(certs) -> FactorizationCertificate:
+    """Certificate for the block-diagonal sum of the values of ``certs``.
+
+    Scalar factors are placed block-diagonally and diagonal factors
+    concatenated, so each factor norm is the largest among the summands.
+    """
+    certs = list(certs)
+    d, k = certs[0].d, certs[0].k
+    if any(c.d != d or c.k != k for c in certs):
+        raise ShapeMismatchError("direct summands must share depth and block order")
+    alphas = tuple(block_diag([c.alphas[i] for c in certs]) for i in range(d + 1))
+    diags = tuple(
+        DiagonalMatrix(np.concatenate([c.diags[i].entries for c in certs])) for i in range(d)
+    )
+    return FactorizationCertificate(alphas, diags)
 
 
 def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> FactorizationCertificate:
@@ -252,15 +257,13 @@ def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> Factoriza
     if cu.d != cv.d or cu.n != cv.n or cu.k != cv.k:
         raise ShapeMismatchError("certificates must share depth, outer shape and block order")
     cu, cv = _split_outer(rebalance(cu)), _split_outer(rebalance(cv))
-    alphas = [np.hstack([cu.alphas[0], cv.alphas[0]])]
-    for au, av in zip(cu.alphas[1:-1], cv.alphas[1:-1]):
-        alphas.append(_direct_sum_scalar(au, av))
-    alphas.append(np.vstack([cu.alphas[-1], cv.alphas[-1]]))
-    diags = tuple(
-        DiagonalMatrix(np.concatenate([Du.entries, Dv.entries]))
-        for Du, Dv in zip(cu.diags, cv.diags)
+    s = direct_sum([cu, cv])
+    alphas = (
+        (np.hstack([cu.alphas[0], cv.alphas[0]]),)
+        + s.alphas[1:-1]
+        + (np.vstack([cu.alphas[-1], cv.alphas[-1]]),)
     )
-    return FactorizationCertificate(tuple(alphas), diags)
+    return FactorizationCertificate(alphas, s.diags)
 
 
 @dataclass(frozen=True)

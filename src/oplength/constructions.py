@@ -16,6 +16,7 @@ from .blocks import (
     BlockMatrix,
     DiagonalMatrix,
     ShapeMismatchError,
+    _phase_normalize,
     fourier_unitary,
     normalized_trace,
     operator_norm,
@@ -24,6 +25,8 @@ from .certs import (
     FactorizationCertificate,
     RowDecomposition,
     conjugate,
+    cost,
+    direct_sum,
     rebalance_diags,
 )
 
@@ -39,9 +42,11 @@ __all__ = [
     "matrix_unit_family",
     "projection_isometries",
     "family_from_projections",
+    "lift",
     "corner_embedding_certificate",
     "partition_row_decomposition",
     "pinch_certificate",
+    "pinch_assembly",
     "diagonal_embedding_certificate",
     "pinch",
     "diagonal_partition",
@@ -241,13 +246,7 @@ def projection_isometries(p: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarr
         raise FamilyRelationError("input is not a projection")
     vals, vecs = np.linalg.eigh(p)
     order = np.argsort(-vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    # phase-normalize columns for a reproducible basis
-    for j in range(k):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            vecs[:, j] = col / (col[nz[0]] / abs(col[nz[0]]))
+    vals, vecs = vals[order], _phase_normalize(vecs[:, order])
     r = int(np.count_nonzero(vals > 0.5))
     if n * r > k:
         raise CapacityError(f"need {n}*{r} orthogonal directions in M_{k}")
@@ -273,6 +272,14 @@ def family_from_projections(p: np.ndarray, q: np.ndarray, n: int) -> IsometryFam
     )
 
 
+def lift(x: BlockMatrix, e: np.ndarray) -> BlockMatrix:
+    """The matrix [x_ij (x) e] over M_p(B) for a p x p scalar matrix e."""
+    p, kB = e.shape[0], x.k
+    return BlockMatrix(
+        np.einsum("ab,ijcd->ijacbd", e, x.blocks).reshape(x.m, x.n, p * kB, p * kB)
+    )
+
+
 def corner_embedding_certificate(x: BlockMatrix, r: int, s: int) -> FactorizationCertificate:
     """Depth-3 certificate for [x_ij (x) e_rs] over M_n(B), cost <= ||x||.
 
@@ -282,13 +289,8 @@ def corner_embedding_certificate(x: BlockMatrix, r: int, s: int) -> Factorizatio
     """
     if x.m != x.n:
         raise ShapeMismatchError("input must be square")
-    n, kB = x.n, x.k
-    fam = matrix_unit_family(kB, n, r, s)
-    esr = _unit(n, s - 1, r - 1)
-    lifted = BlockMatrix(
-        np.einsum("ab,ijcd->ijacbd", esr, x.blocks).reshape(n, n, n * kB, n * kB)
-    )
-    return factor_through_family(lifted, fam)
+    fam = matrix_unit_family(x.k, x.n, r, s)
+    return factor_through_family(lift(x, _unit(x.n, s - 1, r - 1)), fam)
 
 
 def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
@@ -327,8 +329,6 @@ def pinch_certificate(inner_certs, part: ProjectionPartition, tol: float = 1e-9)
     decomposition on both sides, so the total cost stays below the
     largest inner cost.
     """
-    from .certs import cost as cert_cost
-
     inner_certs = list(inner_certs)
     n = part.n
     if len(inner_certs) != n:
@@ -337,31 +337,23 @@ def pinch_certificate(inner_certs, part: ProjectionPartition, tol: float = 1e-9)
     for c in inner_certs:
         if c.d != d or c.n != n or c.k != part.k:
             raise ShapeMismatchError("inner certificates must share depth and shape")
-        if cert_cost(c) > 1 + tol:
+        if cost(c) > 1 + tol:
             raise ValueError("inner certificate cost exceeds 1")
-    balanced = [rebalance_diags(c) for c in inner_certs]
-
-    alphas = []
-    for i in range(d + 1):
-        out = np.zeros(
-            (sum(c.alphas[i].shape[0] for c in balanced),
-             sum(c.alphas[i].shape[1] for c in balanced)),
-            dtype=np.complex128,
-        )
-        ro = co = 0
-        for c in balanced:
-            a = c.alphas[i]
-            out[ro:ro + a.shape[0], co:co + a.shape[1]] = a
-            ro += a.shape[0]
-            co += a.shape[1]
-        alphas.append(out)
-    diags = tuple(
-        DiagonalMatrix(np.concatenate([c.diags[i].entries for c in balanced]))
-        for i in range(d)
-    )
-    dsum = FactorizationCertificate(tuple(alphas), diags)
+    dsum = direct_sum(rebalance_diags(c) for c in inner_certs)
     row = partition_row_decomposition(part)
     return conjugate(row, dsum, row)
+
+
+def pinch_assembly(x: BlockMatrix, part: ProjectionPartition, inner):
+    """Pinch certificate built from x / ||x||, scaled back to cost <= ||x||.
+
+    ``inner(xs, m)`` certifies the piece of the normalized input xs for
+    partition element m at cost <= 1.  Returns ``(certificate, ||x||)``.
+    """
+    nrm = operator_norm(x)
+    xs = x * (1.0 / nrm) if nrm > 0 else x
+    cert = pinch_certificate([inner(xs, m) for m in range(part.n)], part)
+    return (cert.scaled(nrm) if nrm > 0 else cert), nrm
 
 
 def diagonal_embedding_certificate(x: BlockMatrix) -> FactorizationCertificate:
@@ -372,15 +364,11 @@ def diagonal_embedding_certificate(x: BlockMatrix) -> FactorizationCertificate:
     """
     if x.m != x.n:
         raise ShapeMismatchError("input must be square")
-    n, kB = x.n, x.k
-    nrm = operator_norm(x)
-    xs = x * (1.0 / nrm) if nrm > 0 else x
-    inners = [corner_embedding_certificate(xs, m, m) for m in range(1, n + 1)]
-    part = ProjectionPartition(
-        np.stack([np.kron(_unit(n, m, m), np.eye(kB)) for m in range(n)])
+    part = diagonal_partition(x.n, x.n * x.k)
+    cert, _ = pinch_assembly(
+        x, part, lambda xs, m: corner_embedding_certificate(xs, m + 1, m + 1)
     )
-    cert = pinch_certificate(inners, part)
-    return cert.scaled(nrm) if nrm > 0 else cert
+    return cert
 
 
 def pinch(x: BlockMatrix, part: ProjectionPartition) -> BlockMatrix:

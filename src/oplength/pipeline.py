@@ -6,12 +6,11 @@ checks, and certificates over finite direct sums.
 from __future__ import annotations
 
 import hashlib
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .blocks import BlockMatrix, DiagonalMatrix, ShapeMismatchError, block_l2, operator_norm
+from .blocks import BlockMatrix, DiagonalMatrix, ShapeMismatchError, block_diag, block_l2
 from .certs import (
     FactorizationCertificate,
     add,
@@ -21,12 +20,15 @@ from .certs import (
     verify,
 )
 from .constructions import (
+    _unit,
     corner_embedding_certificate,
     diagonal_embedding_certificate,
     diagonal_partition,
     factor_through_family,
     family_from_projections,
+    lift,
     pinch,
+    pinch_assembly,
     universal_depth1,
 )
 from .instances import random_instance
@@ -55,21 +57,10 @@ class PipelineReport:
     bound: float
     recon_error: float
     passed: bool
-    seconds: float
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "depth": self.depth,
-            "cost": self.cost,
-            "bound": self.bound,
-            "recon_error": self.recon_error,
-            "passed": self.passed,
-            "seconds": self.seconds,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
         out.update(self.extra)
         return out
 
@@ -91,7 +82,6 @@ def assemble_from_approximant(
 
     Returns ``(report, certificate)``.
     """
-    t0 = time.perf_counter()
     zprime = evaluate(near_cert)
     K = cost(near_cert)
     x = z - zprime
@@ -120,7 +110,6 @@ def assemble_from_approximant(
         bound=bound,
         recon_error=report_v.recon_error,
         passed=bool(report_v.passed and c <= bound + 1e-6),
-        seconds=time.perf_counter() - t0,
         extra={"K": K, "defect_l2": mass},
     )
     return report, total
@@ -140,31 +129,23 @@ def pinching_pipeline(x: BlockMatrix, tol: float = 1e-9, include_total_bound: bo
 
     Returns ``(report, certificate)``.
     """
-    t0 = time.perf_counter()
     n, k = x.n, x.k
     if x.m != n:
         raise ShapeMismatchError("input must be square")
     if k % n:
         raise ShapeMismatchError(f"pinching partition needs n | k, got n={n}, k={k}")
-    from .constructions import pinch_certificate
-
     part = diagonal_partition(n, k)
     px = pinch(x, part)
-    nrm = operator_norm(x)
-    xs = x * (1.0 / nrm) if nrm > 0 else x
-    inners = [
-        factor_through_family(xs, family_from_projections(pm, pm, n))
-        for pm in part.projections
-    ]
-    cert = pinch_certificate(inners, part)
-    if nrm > 0:
-        cert = cert.scaled(nrm)
+    P = part.projections
+    cert, nrm = pinch_assembly(
+        x, part, lambda xs, m: factor_through_family(xs, family_from_projections(P[m], P[m], n))
+    )
     eps = block_l2(x - px)
     report_v = verify(cert, px, tol)
     c = cost(cert)
     extra = {"pinch_invariant": eps == 0.0, "norm": nrm}
     if include_total_bound and nrm > 0:
-        total_report, _ = assemble_from_approximant(xs, cert.scaled(1.0 / nrm))
+        total_report, _ = assemble_from_approximant(x * (1.0 / nrm), cert.scaled(1.0 / nrm))
         extra["total_cost"] = total_report.cost
         extra["total_bound"] = total_report.bound
         extra["total_passed"] = total_report.passed
@@ -177,7 +158,6 @@ def pinching_pipeline(x: BlockMatrix, tol: float = 1e-9, include_total_bound: bo
         bound=nrm * (1 + 1e-9),
         recon_error=report_v.recon_error,
         passed=bool(report_v.passed and c <= nrm * (1 + 1e-9) + 1e-12),
-        seconds=time.perf_counter() - t0,
         extra=extra,
     )
     return report, cert
@@ -202,24 +182,11 @@ def _build_compression(x: BlockMatrix):
 
 
 def _build_corner(x: BlockMatrix):
-    cert = corner_embedding_certificate(x, 1, 1)
-    n, kB = x.n, x.k
-    e = np.zeros((n, n), dtype=np.complex128)
-    e[0, 0] = 1.0
-    target = BlockMatrix(
-        np.einsum("ab,ijcd->ijacbd", e, x.blocks).reshape(n, n, n * kB, n * kB)
-    )
-    return cert, target
+    return corner_embedding_certificate(x, 1, 1), lift(x, _unit(x.n, 0, 0))
 
 
 def _build_diag_embed(x: BlockMatrix):
-    cert = diagonal_embedding_certificate(x)
-    n, kB = x.n, x.k
-    target = BlockMatrix(
-        np.einsum("ab,ijcd->ijacbd", np.eye(n, dtype=np.complex128), x.blocks)
-        .reshape(n, n, n * kB, n * kB)
-    )
-    return cert, target
+    return diagonal_embedding_certificate(x), lift(x, np.eye(x.n, dtype=np.complex128))
 
 
 def _build_pinched(x: BlockMatrix):
@@ -323,28 +290,27 @@ def direct_sum_certificate(xs, construction: str):
     diags = []
     for i in range(ref.d):
         entries = np.stack(
-            [_block_diag_stack([c.diags[i].entries[j] for c in certs])
+            [block_diag([c.diags[i].entries[j] for c in certs])
              for j in range(ref.diags[i].size)]
         )
         diags.append(DiagonalMatrix(entries))
     return FactorizationCertificate(ref.alphas, tuple(diags)), list(targets)
 
 
-def _block_diag_stack(mats) -> np.ndarray:
-    k = sum(m.shape[0] for m in mats)
-    out = np.zeros((k, k), dtype=np.complex128)
-    o = 0
-    for m in mats:
-        out[o:o + m.shape[0], o:o + m.shape[0]] = m
-        o += m.shape[0]
-    return out
-
-
 def restrict_direct_sum(cert: FactorizationCertificate, index: int, count: int):
-    """The coordinate certificate of a direct-sum certificate."""
+    """The coordinate certificate of a direct-sum certificate of ``count`` coordinates.
+
+    Raises :class:`ShapeMismatchError` unless ``0 <= index < count``,
+    ``count`` divides the block order and every diagonal entry vanishes
+    outside the ``count`` coordinate blocks.
+    """
+    if not 0 <= index < count or cert.k % count:
+        raise ShapeMismatchError(f"no coordinate {index} of {count} in block order {cert.k}")
     kc = cert.k // count
+    outside = block_diag([np.ones((kc, kc))] * count) == 0
+    for i, D in enumerate(cert.diags):
+        if np.any(D.entries[:, outside]):
+            raise ShapeMismatchError(f"diags[{i}] is nonzero outside the {count} coordinate blocks")
     sl = slice(index * kc, (index + 1) * kc)
-    diags = tuple(
-        DiagonalMatrix(D.entries[:, sl, sl]) for D in cert.diags
-    )
+    diags = tuple(DiagonalMatrix(D.entries[:, sl, sl]) for D in cert.diags)
     return FactorizationCertificate(cert.alphas, diags)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplength import (
     BlockMatrix,
@@ -12,15 +14,19 @@ from oplength import (
     add,
     conjugate,
     cost,
+    direct_sum,
+    direct_sum_certificate,
     dnorm_bounds,
     evaluate,
     fourier_unitary,
     operator_norm,
     pad,
     pad_to,
+    restrict_direct_sum,
     universal_depth1,
     verify,
 )
+from oplength.blocks import block_diag
 from oplength.constructions import diagonal_depth1
 
 from conftest import random_block
@@ -79,16 +85,54 @@ class TestEvaluateAndCost:
             cert = random_certificate(rng)
             assert cost(cert) >= operator_norm(evaluate(cert)) - 1e-9
 
-    def test_cost_ignores_claimed(self, rng):
-        cert = random_certificate(rng)
-        tampered = FactorizationCertificate(cert.alphas, cert.diags, claimed_cost=123.0)
-        assert cost(tampered) == pytest.approx(cost(cert))
-
     def test_shape_mismatch_rejected(self, rng):
         cert = random_certificate(rng)
         bad = cert.alphas[:-1] + (np.ones((99, 2), dtype=complex),)
         with pytest.raises(ShapeMismatchError):
             FactorizationCertificate(bad, cert.diags)
+
+
+class TestAlgebraProperties:
+    @given(seed=st.integers(0, 10**6), count=st.integers(1, 3), d=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_direct_sum_value_is_block_diagonal(self, seed, count, d):
+        rng = np.random.default_rng(seed)
+        cs = [
+            random_certificate(rng, n=int(rng.integers(1, 4)), d=d,
+                               widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
+            for _ in range(count)
+        ]
+        got = evaluate(direct_sum(cs)).dense()
+        want = block_diag([evaluate(c).dense() for c in cs])
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, max(cost(c) for c in cs))
+
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_add_value_and_subadditive_cost(self, seed, d):
+        rng = np.random.default_rng(seed)
+        cu, cv = (
+            random_certificate(rng, n=2, d=d,
+                               widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
+            for _ in range(2)
+        )
+        total = add(cu, cv)
+        err = operator_norm(evaluate(total) - (evaluate(cu) + evaluate(cv)))
+        assert err <= 1e-10 * max(1.0, cost(cu) + cost(cv))
+        assert cost(total) <= (cost(cu) + cost(cv)) * (1 + 1e-9)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        count=st.integers(1, 3),
+        n=st.integers(1, 3),
+        construction=st.sampled_from(["length1", "lemma5", "sub18", "sub19", "t13"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_restricted_direct_sum_verifies(self, seed, count, n, construction):
+        rng = np.random.default_rng(seed)
+        xs = [random_block(rng, n, n, 2 * n) for _ in range(count)]
+        cert, targets = direct_sum_certificate(xs, construction)
+        for i, target in enumerate(targets):
+            assert verify(restrict_direct_sum(cert, i, count), target, 1e-9).passed
 
 
 class TestVerify:

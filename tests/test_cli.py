@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oplength import cost, universal_depth1
+from oplength import BlockMatrix, DiagonalMatrix, FactorizationCertificate, cost, universal_depth1
 from oplength.cli import main
 from oplength.serial import (
     certificate_from_json,
@@ -37,7 +37,7 @@ class TestSerialization:
             np.testing.assert_array_equal(a, b)
         for D, E in zip(cert.diags, back.diags):
             np.testing.assert_array_equal(D.entries, E.entries)
-        assert back.claimed_cost == cert.claimed_cost
+        assert json.loads(certificate_to_json(cert))["claimed_cost"] == cost(cert)
 
     def test_certificate_header_check(self, rng):
         doc = json.loads(certificate_to_json(universal_depth1(random_block(rng, 2, 2, 2))))
@@ -96,6 +96,42 @@ class TestCli:
         assert main([
             "verify", "--instance", str(inst), "--certificate", str(cert),
         ]) == 0
+
+    def overflow_files(self, tmp_path):
+        # value 1e200 * 1e-200 + 1 * 1e200 * 1e-200 = 2, cost 1e200 * 1e200 = inf
+        inst = tmp_path / "two.json"
+        inst.write_text(instance_to_json(BlockMatrix(np.full((1, 1, 1, 1), 2.0))))
+        cert = FactorizationCertificate(
+            (np.array([[1e200, 1.0]]), np.array([[1.0], [1e-200]])),
+            (DiagonalMatrix(np.array([1e-200, 1e200]).reshape(2, 1, 1)),),
+        )
+        path = tmp_path / "overflow.json"
+        path.write_text(certificate_to_json(cert))
+        return inst, path
+
+    def test_overflowing_cost_fails_with_strict_json(self, tmp_path, capsys):
+        inst, cert = self.overflow_files(tmp_path)
+        assert json.loads(cert.read_text())["claimed_cost"] is None
+        assert main([
+            "verify", "--instance", str(inst), "--certificate", str(cert),
+        ]) == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(capsys.readouterr().out.strip(), parse_constant=reject)
+        assert doc["cost"] is None and doc["ratio"] is None
+        assert doc["recon_error"] <= 1e-9 and not doc["passed"]
+
+    def test_non_finite_factor_named_on_load(self, tmp_path, capsys):
+        inst, cert = self.overflow_files(tmp_path)
+        doc = json.loads(cert.read_text())
+        doc["diags"][0][1][0][0][0] = float("nan")
+        cert.write_text(json.dumps(doc))
+        assert main([
+            "verify", "--instance", str(inst), "--certificate", str(cert),
+        ]) == 2
+        assert "diags[0]" in capsys.readouterr().err
 
     def test_tampered_diagonal_fails(self, tmp_path):
         inst = self.run_gen(tmp_path)

@@ -191,3 +191,25 @@ class TestDirectSum:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             direct_sum_certificate([], "length1")
+
+    def test_restrict_rejects_index_outside_count(self):
+        xs = [random_instance(2, 2, seed=s) for s in (1, 2, 3)]
+        cert, _ = direct_sum_certificate(xs, "length1")
+        with pytest.raises(ShapeMismatchError):
+            restrict_direct_sum(cert, 5, 3)
+        with pytest.raises(ShapeMismatchError):
+            restrict_direct_sum(cert, -1, 3)
+
+    def test_restrict_rejects_count_not_dividing_block_order(self):
+        xs = [random_instance(2, 2, seed=s) for s in (1, 2, 3)]
+        cert, _ = direct_sum_certificate(xs, "length1")
+        with pytest.raises(ShapeMismatchError):
+            restrict_direct_sum(cert, 0, 4)
+
+    def test_restrict_rejects_entries_outside_coordinate_blocks(self):
+        # k = 6 is divisible by 2, but the three 2 x 2 coordinate blocks
+        # straddle the two 3 x 3 blocks a count of 2 would assume
+        xs = [random_instance(2, 2, seed=s) for s in (1, 2, 3)]
+        cert, _ = direct_sum_certificate(xs, "length1")
+        with pytest.raises(ShapeMismatchError):
+            restrict_direct_sum(cert, 0, 2)
