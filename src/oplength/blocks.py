@@ -102,11 +102,19 @@ class BlockMatrix:
     def adjoint(self) -> "BlockMatrix":
         return BlockMatrix(self.blocks.conj().transpose(1, 0, 3, 2))
 
+    def _matching(self, other: "BlockMatrix") -> np.ndarray:
+        # numpy would broadcast mismatched shapes instead of failing
+        if other.blocks.shape != self.blocks.shape:
+            raise ShapeMismatchError(
+                f"block shapes differ: {self.blocks.shape} vs {other.blocks.shape}"
+            )
+        return other.blocks
+
     def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
-        return BlockMatrix(self.blocks + other.blocks)
+        return BlockMatrix(self.blocks + self._matching(other))
 
     def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
-        return BlockMatrix(self.blocks - other.blocks)
+        return BlockMatrix(self.blocks - self._matching(other))
 
     def __mul__(self, c: complex) -> "BlockMatrix":
         return BlockMatrix(self.blocks * c)
@@ -150,7 +158,7 @@ class DiagonalMatrix:
     def norm(self) -> float:
         if self.size == 0:
             return 0.0
-        return float(max(np.linalg.norm(e, 2) for e in self.entries))
+        return float(np.linalg.norm(self.entries, 2, axis=(1, 2)).max())
 
     def adjoint(self) -> "DiagonalMatrix":
         return DiagonalMatrix(self.entries.conj().transpose(0, 2, 1))
@@ -198,31 +206,31 @@ def operator_norm(x) -> float:
     return float(np.linalg.norm(d, 2))
 
 
-def _check_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _check_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    if np.abs(a - a.conj().T).max(initial=0.0) > tol * scale:
+    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-10 * scale:
         raise HermitianError("input is not Hermitian within tolerance")
     return a
 
 
-def _phase_normalize(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     """Make the first nonzero component of each column real positive."""
     out = vecs.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > tol)
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
         if nz.size:
             ph = col[nz[0]] / abs(col[nz[0]])
             out[:, j] = col / ph
     return out
 
 
-def hermitian_spectral(a: np.ndarray, group_tol: float = 1e-12):
+def hermitian_spectral(a: np.ndarray):
     """Eigendecomposition of a Hermitian element as (eigenvalue, projection) pairs.
 
     Eigenvalues are returned in descending order; near-equal eigenvalues
-    (within ``group_tol`` times the spectral scale) are merged into a
+    (within 1e-12 times the spectral scale) are merged into a
     single spectral projection.  The projections are Hermitian
     idempotents summing to the identity and ``sum l_i P_i`` reconstructs
     the input.
@@ -235,7 +243,7 @@ def hermitian_spectral(a: np.ndarray, group_tol: float = 1e-12):
     i = 0
     while i < len(vals):
         j = i + 1
-        while j < len(vals) and vals[i] - vals[j] <= group_tol * scale:
+        while j < len(vals) and vals[i] - vals[j] <= 1e-12 * scale:
             j += 1
         V = vecs[:, i:j]
         pairs.append((float(vals[i:j].mean()), V @ V.conj().T))
@@ -243,15 +251,15 @@ def hermitian_spectral(a: np.ndarray, group_tol: float = 1e-12):
     return pairs
 
 
-def spectral_projection(a: np.ndarray, t: float, edge_tol: float = 1e-12) -> np.ndarray:
+def spectral_projection(a: np.ndarray, t: float) -> np.ndarray:
     """Projection onto the eigenspaces of a with eigenvalue >= t.
 
-    The threshold is closed: eigenvalues equal to t up to ``edge_tol``
-    are included.
+    The threshold is closed: eigenvalues within 1e-12 below t are
+    included.
     """
     a = _check_hermitian(a)
     vals, vecs = np.linalg.eigh(a)
-    keep = vals >= t - edge_tol
+    keep = vals >= t - 1e-12
     V = vecs[:, keep]
     return V @ V.conj().T
 

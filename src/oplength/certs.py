@@ -325,7 +325,7 @@ def conjugate(
     return FactorizationCertificate(alphas, diags)
 
 
-def dnorm_bounds(x: BlockMatrix, d: int, extra_constructions=()):
+def dnorm_bounds(x: BlockMatrix, d: int):
     """Certified (lower, upper, witness) for the depth-d factorization norm.
 
     The lower bound is the operator norm; the upper bound is the best
@@ -338,8 +338,6 @@ def dnorm_bounds(x: BlockMatrix, d: int, extra_constructions=()):
     candidates = [universal_depth1(x)]
     if is_block_diagonal(x):
         candidates.append(diagonal_depth1(x))
-    for build in extra_constructions:
-        candidates.append(build(x))
     padded = [pad_to(c, d) for c in candidates]
     witness = min(padded, key=cost)
     return operator_norm(x), cost(witness), witness

@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 
+# Absolute tolerance on the algebraic relations of families, partitions and projections.
+_RELATION_TOL = 1e-10
+
+
 class FamilyRelationError(ValueError):
     """Isometry-family relations violated beyond tolerance."""
 
@@ -84,7 +88,7 @@ class IsometryFamily:
     def k(self) -> int:
         return self.a.shape[1]
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self, tol: float = _RELATION_TOL) -> None:
         n = self.n
         ab = np.einsum("iab,jbc->ijac", self.a, self.b, optimize=True)
         cd = np.einsum("iab,jbc->ijac", self.c, self.d, optimize=True)
@@ -117,21 +121,21 @@ class ProjectionPartition:
     def k(self) -> int:
         return self.projections.shape[1]
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         P = self.projections
-        n, k = self.n, self.k
+        n = self.n
         for m in range(n):
             pm = P[m]
-            if np.abs(pm - pm.conj().T).max() > tol or np.abs(pm @ pm - pm).max() > tol:
+            if (np.abs(pm - pm.conj().T).max() > _RELATION_TOL
+                    or np.abs(pm @ pm - pm).max() > _RELATION_TOL):
                 raise FamilyRelationError(f"partition element {m} is not a projection")
             if abs(normalized_trace(pm) - 1.0 / n) > 1e-12:
                 raise FamilyRelationError(f"partition element {m} has trace != 1/n")
-        total = P.sum(axis=0)
         for m in range(n):
             for mp in range(m + 1, n):
-                if np.abs(P[m] @ P[mp]).max() > tol:
+                if np.abs(P[m] @ P[mp]).max() > _RELATION_TOL:
                     raise FamilyRelationError(f"elements {m}, {mp} are not orthogonal")
-        if operator_norm(total) > 1 + tol:
+        if operator_norm(P.sum(axis=0)) > 1 + _RELATION_TOL:
             raise FamilyRelationError("partition sum exceeds the identity")
 
 
@@ -186,9 +190,7 @@ def diagonal_depth1(x: BlockMatrix) -> FactorizationCertificate:
     return FactorizationCertificate((eye, eye), (D,))
 
 
-def factor_through_family(
-    x: BlockMatrix, fam: IsometryFamily, tol: float = 1e-10
-) -> FactorizationCertificate:
+def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationCertificate:
     """Depth-3 certificate for the doubly-compressed matrix [p x_ij q].
 
     The outer diagonals carry the family rows a_i / d_j, the middle
@@ -198,7 +200,7 @@ def factor_through_family(
     """
     if x.m != x.n or x.n != fam.n or x.k != fam.k:
         raise ShapeMismatchError("matrix and family shapes disagree")
-    fam.validate(tol)
+    fam.validate()
     n, k = x.n, x.k
     W = fourier_unitary(n)
     eps1 = np.sqrt(n) * W.conj()          # eps1[i, k]
@@ -233,7 +235,7 @@ def matrix_unit_family(base_order: int, n: int, r: int, s: int) -> IsometryFamil
     return IsometryFamily(p=p, q=p.copy(), a=a, b=b, c=a.copy(), d=b.copy())
 
 
-def projection_isometries(p: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarray:
+def projection_isometries(p: np.ndarray, n: int) -> np.ndarray:
     """n partial isometries v_i with v_i* v_j = delta_ij p, sum v_i v_i* <= 1.
 
     Built from the spectral basis of p: the range basis is mapped onto n
@@ -242,7 +244,8 @@ def projection_isometries(p: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarr
     """
     p = np.asarray(p, dtype=np.complex128)
     k = p.shape[0]
-    if np.abs(p @ p - p).max(initial=0.0) > tol or np.abs(p - p.conj().T).max() > tol:
+    if (np.abs(p @ p - p).max(initial=0.0) > _RELATION_TOL
+            or np.abs(p - p.conj().T).max() > _RELATION_TOL):
         raise FamilyRelationError("input is not a projection")
     vals, vecs = np.linalg.eigh(p)
     order = np.argsort(-vals, kind="stable")
@@ -321,7 +324,7 @@ def partition_block_row(part: ProjectionPartition) -> BlockMatrix:
     return BlockMatrix(blocks)
 
 
-def pinch_certificate(inner_certs, part: ProjectionPartition, tol: float = 1e-9):
+def pinch_certificate(inner_certs, part: ProjectionPartition):
     """Depth d+2 certificate for [sum_m p_m X_m(i, j) p_m].
 
     The inner certificates (one per partition element, each of cost at
@@ -337,7 +340,7 @@ def pinch_certificate(inner_certs, part: ProjectionPartition, tol: float = 1e-9)
     for c in inner_certs:
         if c.d != d or c.n != n or c.k != part.k:
             raise ShapeMismatchError("inner certificates must share depth and shape")
-        if cost(c) > 1 + tol:
+        if cost(c) > 1 + 1e-9:
             raise ValueError("inner certificate cost exceeds 1")
     dsum = direct_sum(rebalance_diags(c) for c in inner_certs)
     row = partition_row_decomposition(part)

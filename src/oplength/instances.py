@@ -29,11 +29,10 @@ def random_instance(
     seed: int,
     distribution: str = "gaussian",
     noise: float = 0.1,
-    scale: float = 1.0,
 ) -> BlockMatrix:
     """An n x n instance over M_k, deterministic for a fixed seed.
 
-    ``gaussian``: iid standard complex normal entries (times ``scale``).
+    ``gaussian``: iid standard complex normal entries.
     ``haar``: independent Haar-distributed unitary blocks.
     ``blockdiag``: pinch-invariant base for the diagonal partition of
     M_k into n blocks, plus ``noise`` times a Gaussian perturbation
@@ -44,17 +43,17 @@ def random_instance(
         raise ValueError("n and k must be positive")
     rng = np.random.default_rng([seed, n, k])
     if distribution == "gaussian":
-        return BlockMatrix(scale * _complex_gaussian(rng, (n, n, k, k)))
+        return BlockMatrix(_complex_gaussian(rng, (n, n, k, k)))
     if distribution == "haar":
         blocks = np.stack(
             [[_haar_unitary(rng, k) for _ in range(n)] for _ in range(n)]
         )
-        return BlockMatrix(scale * blocks)
+        return BlockMatrix(blocks)
     if distribution == "blockdiag":
         part = diagonal_partition(n, k)
         base = pinch(BlockMatrix(_complex_gaussian(rng, (n, n, k, k))), part)
         if noise == 0:
-            return scale * base
+            return base
         bump = BlockMatrix(_complex_gaussian(rng, (n, n, k, k)))
-        return scale * (base + noise * bump)
+        return base + noise * bump
     raise ValueError(f"unknown distribution {distribution!r}")

@@ -66,10 +66,7 @@ class PipelineReport:
 
 
 def assemble_from_approximant(
-    z: BlockMatrix,
-    near_cert: FactorizationCertificate,
-    eps: float | None = None,
-    tol: float = 1e-9,
+    z: BlockMatrix, near_cert: FactorizationCertificate, eps: float | None = None
 ):
     """Certify z given a certificate for a nearby z' with small L2 defect.
 
@@ -99,23 +96,22 @@ def assemble_from_approximant(
         rem_cert = pad_to(universal_depth1(split.remainder), depth)
         total = add(add(pad_to(near_cert, depth), comp_cert), rem_cert)
     bound = K + 2 + 3 * eps_used * n ** 2.5
-    report_v = verify(total, z, tol)
-    c = cost(total)
+    report_v = verify(total, z)
     report = PipelineReport(
         n=n,
         k=k,
         epsilon=eps_used,
         depth=total.d,
-        cost=c,
+        cost=report_v.cost,
         bound=bound,
         recon_error=report_v.recon_error,
-        passed=bool(report_v.passed and c <= bound + 1e-6),
+        passed=bool(report_v.passed and report_v.cost <= bound + 1e-6),
         extra={"K": K, "defect_l2": mass},
     )
     return report, total
 
 
-def pinching_pipeline(x: BlockMatrix, tol: float = 1e-9, include_total_bound: bool = False):
+def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
     """Depth-5 certificate for the pinched matrix [sum_m p_m x_ij p_m].
 
     The partition is the diagonal-block decomposition of M_k into n
@@ -141,8 +137,7 @@ def pinching_pipeline(x: BlockMatrix, tol: float = 1e-9, include_total_bound: bo
         x, part, lambda xs, m: factor_through_family(xs, family_from_projections(P[m], P[m], n))
     )
     eps = block_l2(x - px)
-    report_v = verify(cert, px, tol)
-    c = cost(cert)
+    report_v = verify(cert, px)
     extra = {"pinch_invariant": eps == 0.0, "norm": nrm}
     if include_total_bound and nrm > 0:
         total_report, _ = assemble_from_approximant(x * (1.0 / nrm), cert.scaled(1.0 / nrm))
@@ -154,10 +149,10 @@ def pinching_pipeline(x: BlockMatrix, tol: float = 1e-9, include_total_bound: bo
         k=k,
         epsilon=eps,
         depth=cert.d,
-        cost=c,
+        cost=report_v.cost,
         bound=nrm * (1 + 1e-9),
         recon_error=report_v.recon_error,
-        passed=bool(report_v.passed and c <= nrm * (1 + 1e-9) + 1e-12),
+        passed=bool(report_v.passed and report_v.cost <= nrm * (1 + 1e-9) + 1e-12),
         extra=extra,
     )
     return report, cert
@@ -226,6 +221,15 @@ def scalar_digest(cert: FactorizationCertificate) -> str:
     return h.hexdigest()
 
 
+def _check_same_scalars(cert: FactorizationCertificate, ref: FactorizationCertificate, where: str):
+    """Raise :class:`UniformityError` unless cert and ref share widths and scalar bytes."""
+    if cert.widths != ref.widths:
+        raise UniformityError(f"widths differ {where}: {cert.widths} vs {ref.widths}")
+    for i, (a, b) in enumerate(zip(cert.alphas, ref.alphas)):
+        if a.tobytes() != b.tobytes():
+            raise UniformityError(f"scalar factor {i} differs {where}")
+
+
 def uniformity_check(construction: str, n: int, k: int, trials: int, seed: int) -> dict:
     """Assert the construction's scalar data is bitwise identical across inputs.
 
@@ -245,14 +249,8 @@ def uniformity_check(construction: str, n: int, k: int, trials: int, seed: int) 
         cert, _ = spec.build(x)
         if ref is None:
             ref = cert
-            continue
-        if cert.widths != ref.widths:
-            raise UniformityError(
-                f"widths differ at trial {t}: {cert.widths} vs {ref.widths}"
-            )
-        for i, (a, b) in enumerate(zip(cert.alphas, ref.alphas)):
-            if a.tobytes() != b.tobytes():
-                raise UniformityError(f"scalar factor {i} differs at trial {t}")
+        else:
+            _check_same_scalars(cert, ref, f"at trial {t}")
     return {
         "construction": construction,
         "n": n,
@@ -282,11 +280,7 @@ def direct_sum_certificate(xs, construction: str):
     certs, targets = zip(*(spec.build(x) for x in xs))
     ref = certs[0]
     for c in certs[1:]:
-        if c.widths != ref.widths:
-            raise UniformityError("widths differ across coordinates")
-        for i, (a, b) in enumerate(zip(c.alphas, ref.alphas)):
-            if a.tobytes() != b.tobytes():
-                raise UniformityError(f"scalar factor {i} differs across coordinates")
+        _check_same_scalars(c, ref, "across coordinates")
     diags = []
     for i in range(ref.d):
         entries = np.stack(

@@ -9,6 +9,7 @@ from oplength import (
     BlockMatrix,
     DiagonalMatrix,
     HermitianError,
+    ShapeMismatchError,
     block_l2,
     fourier_unitary,
     hermitian_spectral,
@@ -183,6 +184,12 @@ class TestFourierUnitary:
 
 
 class TestAlgebraInvariants:
+    @pytest.mark.parametrize("op", ["__add__", "__sub__"])
+    def test_mismatched_shapes_refused(self, op):
+        # numpy would broadcast (1, 1, 1, 1) against (2, 2, 2, 2) silently
+        with pytest.raises(ShapeMismatchError, match=r"\(1, 1, 1, 1\) vs \(2, 2, 2, 2\)"):
+            getattr(BlockMatrix.zeros(1, 1, 1), op)(BlockMatrix.identity(2, 2))
+
     def test_adjoint_involution(self, rng):
         x = random_block(rng, 2, 3, 2)
         np.testing.assert_array_equal(x.adjoint().adjoint().blocks, x.blocks)

@@ -197,6 +197,10 @@ class TestCli:
         assert doc["tight"] and doc["consistent"]
         assert doc["oracle"] == pytest.approx(2.0)
 
+    def test_cb_zero_restarts_usage_error(self, capsys):
+        assert main(["cb", "--xi-spec", "4,2,1", "--level", "2", "--restarts", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_cb_bad_spec_usage_error(self, capsys):
         assert main(["cb", "--xi-spec", "abc"]) == 2
 

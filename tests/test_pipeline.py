@@ -68,6 +68,12 @@ class TestAssembleFromApproximant:
         with pytest.raises(MassPreconditionError):
             assemble_from_approximant(z, near, eps=0.01)
 
+    def test_wrong_block_order_refused_at_difference(self, rng):
+        z = random_block(rng, 2, 2, 4)
+        near = universal_depth1(random_block(rng, 2, 2, 1))
+        with pytest.raises(ShapeMismatchError, match="block shapes differ"):
+            assemble_from_approximant(z, near)
+
     def test_report_extra_fields(self, rng):
         z, near = near_pair(rng, 2, 12, 0.05)
         report, _ = assemble_from_approximant(z, near)
