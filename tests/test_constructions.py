@@ -26,6 +26,7 @@ from oplength import (
     universal_depth1,
 )
 from oplength.constructions import partition_block_row
+from oplength.instances import random_instance
 
 from conftest import random_block
 
@@ -312,6 +313,40 @@ class TestPinch:
         x = random_block(rng, n, n, k)
         px = pinch(x, part)
         assert operator_norm(pinch(px, part) - px) <= 1e-12
+
+    @pytest.mark.parametrize("n,k", [(2, 4), (3, 6), (4, 16), (6, 24)])
+    @pytest.mark.parametrize("distribution", ["gaussian", "blockdiag"])
+    def test_diagonal_partition_bytes_match_defining_sum(self, n, k, distribution):
+        # at k = 6 OpenBLAS leaves -0 in some all-zero sums; the defining sum has +0
+        part = diagonal_partition(n, k)
+        x = random_instance(n, k, 5, distribution)
+        P = part.projections
+        expected = np.einsum("mab,ijbc,mcd->ijad", P, x.blocks, P)
+        assert pinch(x, part).blocks.tobytes() == expected.tobytes()
+
+    def test_rotated_partition_matches_double_loop(self):
+        n, k = 4, 8
+        rng = np.random.default_rng(4)
+        z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        P = np.stack([u @ pm @ u.conj().T for pm in diagonal_partition(n, k).projections])
+        part = ProjectionPartition(P)
+        part.validate()
+        x = random_block(rng, n, n, k)
+        expected = np.zeros_like(x.blocks)
+        for i in range(n):
+            for j in range(n):
+                expected[i, j] = sum(pm @ x.blocks[i, j] @ pm for pm in P)
+        px = pinch(x, part)
+        assert np.abs(px.blocks - expected).max() <= 1e-12
+        assert operator_norm(pinch(px, part) - px) <= 1e-10
+        assert operator_norm(px) <= operator_norm(x) + 1e-10
+
+    @pytest.mark.parametrize("n,k", [(2, 4), (3, 6), (4, 16)])
+    def test_blockdiag_instance_is_bytewise_fixed_point(self, n, k):
+        x = random_instance(n, k, 11, "blockdiag", noise=0)
+        assert pinch(x, diagonal_partition(n, k)).blocks.tobytes() == x.blocks.tobytes()
 
 
 class TestProjectionPartition:

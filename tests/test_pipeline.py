@@ -120,6 +120,15 @@ class TestPinchingPipeline:
         assert "total_bound" in report.extra
         assert report.extra["total_cost"] <= report.extra["total_bound"] + 1e-6
 
+    @pytest.mark.parametrize("n,k", [(2, 4), (3, 6), (4, 8)])
+    def test_total_bound_on_exactly_pinch_invariant_input(self, n, k):
+        # the defect is rounding noise, below spectral_projection's edge slack
+        x = random_instance(n, k, 11, "blockdiag", noise=0)
+        report, _ = pinching_pipeline(x, include_total_bound=True)
+        assert report.passed and report.extra["pinch_invariant"]
+        assert report.extra["total_passed"]
+        assert report.extra["total_cost"] <= report.extra["total_bound"] + 1e-6
+
 
 class TestConstructionsRegistry:
     def test_registry_names(self):
