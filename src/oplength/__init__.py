@@ -22,7 +22,6 @@ from .certs import (
     conjugate,
     cost,
     direct_sum,
-    dnorm_bounds,
     evaluate,
     pad,
     pad_to,

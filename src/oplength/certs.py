@@ -38,7 +38,6 @@ __all__ = [
     "conjugate",
     "rebalance",
     "rebalance_diags",
-    "dnorm_bounds",
 ]
 
 
@@ -174,20 +173,26 @@ def pad_to(cert: FactorizationCertificate, depth: int) -> FactorizationCertifica
     return cert
 
 
+def _unit_diags(diags):
+    """Each nonzero diagonal divided by its norm, and the product of those norms."""
+    scale = 1.0
+    out = []
+    for D in diags:
+        nD = D.norm()
+        if nD > 0:
+            scale *= nD
+            D = D.scaled(1.0 / nD)
+        out.append(D)
+    return out, scale
+
+
 def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
     """Same value, with every factor after a_0 normalized and a_0 carrying the cost.
 
     Zero factors are left in place (the value is then zero regardless).
     """
-    scale = 1.0
+    diags, scale = _unit_diags(cert.diags)
     alphas = [cert.alphas[0]]
-    diags = []
-    for D in cert.diags:
-        nD = D.norm()
-        if nD > 0:
-            scale *= nD
-            D = D.scaled(1.0 / nD)
-        diags.append(D)
     for a in cert.alphas[1:]:
         na = scalar_norm(a)
         if na > 0:
@@ -205,16 +210,8 @@ def rebalance_diags(cert: FactorizationCertificate) -> FactorizationCertificate:
     do not multiply up across positions, while the scalar data stays
     untouched (it must remain independent of the input values).
     """
-    scale = 1.0
-    diags = [cert.diags[0]]
-    for D in cert.diags[1:]:
-        nD = D.norm()
-        if nD > 0:
-            scale *= nD
-            D = D.scaled(1.0 / nD)
-        diags.append(D)
-    diags[0] = diags[0].scaled(scale)
-    return FactorizationCertificate(cert.alphas, tuple(diags))
+    diags, scale = _unit_diags(cert.diags[1:])
+    return FactorizationCertificate(cert.alphas, (cert.diags[0].scaled(scale), *diags))
 
 
 def _split_outer(cert: FactorizationCertificate) -> FactorizationCertificate:
@@ -297,9 +294,6 @@ class RowDecomposition:
         M = inflate(self.alpha0, k) @ self.diag.dense() @ inflate(self.w, k)
         return BlockMatrix.from_dense(M, k)
 
-    def norm_bound(self) -> float:
-        return scalar_norm(self.alpha0) * self.diag.norm() * scalar_norm(self.w)
-
 
 def conjugate(
     left: RowDecomposition,
@@ -323,21 +317,3 @@ def conjugate(
     )
     diags = (left.diag,) + inner.diags + (right.diag.adjoint(),)
     return FactorizationCertificate(alphas, diags)
-
-
-def dnorm_bounds(x: BlockMatrix, d: int):
-    """Certified (lower, upper, witness) for the depth-d factorization norm.
-
-    The lower bound is the operator norm; the upper bound is the best
-    cost among the applicable library constructions padded to depth d.
-    """
-    from .constructions import diagonal_depth1, is_block_diagonal, universal_depth1
-
-    if d < 1:
-        raise ValueError("depth must be >= 1")
-    candidates = [universal_depth1(x)]
-    if is_block_diagonal(x):
-        candidates.append(diagonal_depth1(x))
-    padded = [pad_to(c, d) for c in candidates]
-    witness = min(padded, key=cost)
-    return operator_norm(x), cost(witness), witness

@@ -36,8 +36,6 @@ __all__ = [
     "FamilyRelationError",
     "CapacityError",
     "universal_depth1",
-    "diagonal_depth1",
-    "is_block_diagonal",
     "factor_through_family",
     "matrix_unit_family",
     "projection_isometries",
@@ -169,25 +167,6 @@ def universal_depth1(x: BlockMatrix) -> FactorizationCertificate:
             a1[t * n + i, i] = 1.0
     D = DiagonalMatrix(x.blocks.reshape(N, k, k))
     return FactorizationCertificate((a0, a1), (D,))
-
-
-def is_block_diagonal(x: BlockMatrix) -> bool:
-    off = x.blocks.copy()
-    for i in range(min(x.m, x.n)):
-        off[i, i] = 0
-    return not np.any(off)
-
-
-def diagonal_depth1(x: BlockMatrix) -> FactorizationCertificate:
-    """Depth-1 certificate for a block-diagonal x with cost = max_i ||x_ii||."""
-    if x.m != x.n:
-        raise ShapeMismatchError("input must be square")
-    if not is_block_diagonal(x):
-        raise ShapeMismatchError("input is not block diagonal")
-    n = x.n
-    eye = np.eye(n, dtype=np.complex128)
-    D = DiagonalMatrix(np.stack([x.entry(i, i) for i in range(n)]))
-    return FactorizationCertificate((eye, eye), (D,))
 
 
 def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationCertificate:
@@ -329,8 +308,9 @@ def pinch_certificate(inner_certs, part: ProjectionPartition):
 
     The inner certificates (one per partition element, each of cost at
     most 1) are direct-summed and conjugated by the partition row
-    decomposition on both sides, so the total cost stays below the
-    largest inner cost.
+    decomposition on both sides.  When they share their scalar factors,
+    as one construction's certificates of one shape do, the total cost
+    stays below the largest inner cost.
     """
     inner_certs = list(inner_certs)
     n = part.n

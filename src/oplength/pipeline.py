@@ -65,9 +65,7 @@ class PipelineReport:
         return out
 
 
-def assemble_from_approximant(
-    z: BlockMatrix, near_cert: FactorizationCertificate, eps: float | None = None
-):
+def assemble_from_approximant(z: BlockMatrix, near_cert: FactorizationCertificate):
     """Certify z given a certificate for a nearby z' with small L2 defect.
 
     The difference x = z - z' is split through small-trace spectral
@@ -75,7 +73,8 @@ def assemble_from_approximant(
     orthogonal copies of the projections (cost <= ||x||), the remainder
     through the universal depth-1 construction, and the three pieces are
     added at a common depth >= 3.  The total cost is certified against
-    K + 2 + 3 * eps * n**2.5 with K the approximant's cost.
+    K + 2 + 3 * eps * n**2.5 with K the approximant's cost and eps
+    1.01 times the L2 mass of x, just above the least the split accepts.
 
     Returns ``(report, certificate)``.
     """
@@ -91,7 +90,7 @@ def assemble_from_approximant(
         eps_used = 0.0
         total = pad_to(near_cert, depth)
     else:
-        eps_used = eps if eps is not None else 1.01 * mass
+        eps_used = 1.01 * mass
         split = split_small_l2(x, eps_used)
         fam = family_from_projections(split.p, split.q, n)
         comp_cert = pad_to(factor_through_family(x, fam), depth)
@@ -130,8 +129,6 @@ def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
     n, k = x.n, x.k
     if x.m != n:
         raise ShapeMismatchError("input must be square")
-    if k % n:
-        raise ShapeMismatchError(f"pinching partition needs n | k, got n={n}, k={k}")
     part = diagonal_partition(n, k)
     px = pinch(x, part)
     P = part.projections

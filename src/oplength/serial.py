@@ -35,7 +35,8 @@ def _decode_complex(data, name: str) -> np.ndarray:
         raise ValueError(f"{name}: complex arrays must be nested lists of [re, im] pairs")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite entries in {name}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # a view, not re + 1j * im, which turns a -0 real or imaginary part into +0
+    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
 
 
 def _finite_or_null(v):

@@ -96,12 +96,8 @@ class CbLowerBound:
 
 def _apply_amplified(op, X: np.ndarray, k: int, m: int, adjoint: bool = False) -> np.ndarray:
     f = op.apply_adjoint if adjoint else op.apply
-    B = X.reshape(m, k, m, k)
-    out = np.empty_like(B)
-    for i in range(m):
-        for j in range(m):
-            out[i, :, j, :] = f(B[i, :, j, :])
-    return out.reshape(m * k, m * k)
+    B = X.reshape(m, k, m, k).transpose(0, 2, 1, 3)  # B[i, j] is block (i, j)
+    return f(B).transpose(0, 2, 1, 3).reshape(m * k, m * k)
 
 
 def _ascend(op, k: int, m: int, X0: np.ndarray):

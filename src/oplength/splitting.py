@@ -36,8 +36,6 @@ class SpectralSplit:
     compressed: BlockMatrix  # entries p x_ij q
     remainder: BlockMatrix
     epsilon: float
-    a: np.ndarray            # column Gram square root (sum x* x)**0.5
-    b: np.ndarray            # row Gram square root (sum x x*)**0.5
 
 
 def split_small_l2(x: BlockMatrix, eps: float) -> SpectralSplit:
@@ -58,6 +56,5 @@ def split_small_l2(x: BlockMatrix, eps: float) -> SpectralSplit:
     p = spectral_projection(b, t)
     compressed = BlockMatrix(np.einsum("ab,ijbc,cd->ijad", p, x.blocks, q, optimize=True))
     return SpectralSplit(
-        p=p, q=q, compressed=compressed, remainder=x - compressed,
-        epsilon=float(eps), a=a, b=b,
+        p=p, q=q, compressed=compressed, remainder=x - compressed, epsilon=float(eps)
     )

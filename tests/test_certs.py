@@ -16,7 +16,6 @@ from oplength import (
     cost,
     direct_sum,
     direct_sum_certificate,
-    dnorm_bounds,
     evaluate,
     fourier_unitary,
     operator_norm,
@@ -27,7 +26,6 @@ from oplength import (
     verify,
 )
 from oplength.blocks import block_diag
-from oplength.constructions import diagonal_depth1
 
 from conftest import random_block
 
@@ -237,36 +235,6 @@ class TestConjugate:
         row = RowDecomposition.identity(2, 2)
         out = conjugate(row, inner, row)
         assert cost(out) <= cost(inner) * (1 + 1e-9)
-
-
-class TestDnormBounds:
-    def test_scaled_unit_diagonal(self):
-        n, k = 3, 2
-        blocks = np.zeros((n, n, k, k), dtype=complex)
-        for i in range(n):
-            blocks[i, i] = 2.0 * np.eye(k)
-        x = BlockMatrix(blocks)
-        lower, upper, witness = dnorm_bounds(x, 2)
-        assert upper / lower <= 1 + 1e-9
-        assert verify(witness, x, 1e-9).passed
-        assert witness.d == 2
-
-    def test_upper_dominates_lower(self, rng):
-        x = random_block(rng, 3, 3, 2)
-        lower, upper, witness = dnorm_bounds(x, 1)
-        assert lower <= upper + 1e-9
-        assert verify(witness, x, 1e-9).passed
-
-    def test_squared_size_bound_n2(self, rng):
-        x = random_block(rng, 2, 2, 3)
-        _, upper, _ = dnorm_bounds(x, 1)
-        entry_max = max(np.linalg.norm(b, 2) for b in x.blocks.reshape(-1, 3, 3))
-        assert upper <= 4 * entry_max + 1e-9
-
-    def test_diagonal_construction_requires_block_diagonal(self, rng):
-        x = random_block(rng, 2, 2, 2)
-        with pytest.raises(ShapeMismatchError):
-            diagonal_depth1(x)
 
 
 class TestRebalanceHelpers:

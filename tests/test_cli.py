@@ -1,11 +1,23 @@
 """Serialization round-trips and the command-line driver."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oplength import BlockMatrix, DiagonalMatrix, FactorizationCertificate, cost, universal_depth1
+from oplength import (
+    CONSTRUCTIONS,
+    BlockMatrix,
+    DiagonalMatrix,
+    FactorizationCertificate,
+    cost,
+    operator_norm,
+    random_instance,
+    universal_depth1,
+)
 from oplength.cli import main
 from oplength.serial import (
     certificate_from_json,
@@ -17,7 +29,41 @@ from oplength.serial import (
 from conftest import random_block
 
 
+def wide_complex(rng, shape):
+    """Complex entries over the whole double range, subnormals and signed zeros included."""
+    parts = rng.standard_normal(shape + (2,)) * 10.0 ** rng.integers(-320, 300, size=shape + (2,))
+    parts[rng.random(shape + (2,)) < 0.2] = 0.0
+    parts[rng.random(shape + (2,)) < 0.2] = -0.0
+    return parts.view(np.complex128)[..., 0]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSerialization:
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), k=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_instance_round_trip_bit_exact_property(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        x = BlockMatrix(wide_complex(rng, (n, n, k, k)))
+        assert same_bits(instance_from_json(instance_to_json(x)).blocks, x.blocks)
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), k=st.integers(1, 4),
+           d=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_certificate_round_trip_bit_exact_property(self, seed, n, k, d):
+        rng = np.random.default_rng(seed)
+        widths = (n,) + tuple(int(w) for w in rng.integers(1, 6, size=d)) + (n,)
+        cert = FactorizationCertificate(
+            tuple(wide_complex(rng, (widths[i], widths[i + 1])) for i in range(d + 1)),
+            tuple(DiagonalMatrix(wide_complex(rng, (w, k, k))) for w in widths[1:-1]),
+        )
+        back = certificate_from_json(certificate_to_json(cert))
+        assert back.widths == cert.widths
+        assert all(same_bits(a, b) for a, b in zip(back.alphas, cert.alphas))
+        assert all(same_bits(D.entries, E.entries) for D, E in zip(back.diags, cert.diags))
+
     def test_instance_round_trip_bit_exact(self, rng):
         x = random_block(rng, 3, 3, 4)
         y = instance_from_json(instance_to_json(x))
@@ -177,6 +223,19 @@ class TestCli:
         assert outs[0] == outs[1]
         header = outs[0].decode().splitlines()[0]
         assert header == "construction,n,k,trial,cost,norm,ratio"
+
+    def test_bench_columns_are_cost_and_target_norm(self, tmp_path):
+        path = tmp_path / "b.csv"
+        assert main([
+            "bench", "--n-range", "2", "--k", "4", "--trials", "2", "--seed", "3",
+            "--constructions", ",".join(CONSTRUCTIONS), "--out", str(path),
+        ]) == 0
+        rows = [r for r in csv.DictReader(path.read_text().splitlines()) if r["trial"] == "1"]
+        assert sorted(r["construction"] for r in rows) == sorted(CONSTRUCTIONS)
+        for row in rows:
+            cert, target = CONSTRUCTIONS[row["construction"]].build(random_instance(2, 4, 3001))
+            assert row["cost"] == repr(cost(cert))
+            assert row["norm"] == repr(operator_norm(target))
 
     def test_bench_timings_column(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplength import (
     BlockMatrix,
     CapacityError,
+    DiagonalMatrix,
+    FactorizationCertificate,
     FamilyRelationError,
     IsometryFamily,
     ProjectionPartition,
@@ -202,7 +206,9 @@ class TestPartitionRowDecomposition:
         part = diagonal_partition(2, 4)
         row = partition_row_decomposition(part)
         assert operator_norm(row.as_block_matrix() - partition_block_row(part)) <= 1e-12
-        assert row.norm_bound() <= 1 + 1e-10
+        norm_bound = (np.linalg.norm(row.alpha0, 2) * row.diag.norm()
+                      * np.linalg.norm(row.w, 2))
+        assert norm_bound <= 1 + 1e-10
 
     def test_diagonal_entries_contractive(self):
         part = diagonal_partition(3, 6)
@@ -216,8 +222,6 @@ class TestPinchCertificate:
         n, k = 2, 4
         part = diagonal_partition(n, k)
         eye = np.eye(n, dtype=complex)
-        from oplength import DiagonalMatrix, FactorizationCertificate
-
         inner = [
             FactorizationCertificate((eye, eye), (DiagonalMatrix.unit(n, k),))
             for _ in range(n)
@@ -259,6 +263,39 @@ class TestPinchCertificate:
         )
         assert operator_norm(evaluate(out) - expected) <= 1e-10
         assert cost(out) <= max(cost(c) for c in inners) + 1e-9
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), r=st.integers(1, 3),
+           d=st.integers(1, 2), rotated=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_value_is_pinched_sum_and_cost_within_largest_inner(self, seed, n, r, d, rotated):
+        # inner certificates share their scalar factors, as the library's constructions do
+        rng = np.random.default_rng(seed)
+        k = n * r
+        P = diagonal_partition(n, k).projections
+        if rotated:
+            q, t = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+            u = q * (np.diagonal(t) / np.abs(np.diagonal(t)))
+            P = np.stack([u @ pm @ u.conj().T for pm in P])
+        widths = (n,) + tuple(int(w) for w in rng.integers(1, 5, size=d)) + (n,)
+        alphas = tuple(
+            rng.standard_normal((widths[i], widths[i + 1]))
+            + 1j * rng.standard_normal((widths[i], widths[i + 1]))
+            for i in range(d + 1)
+        )
+        inners = []
+        for _ in range(n):
+            diags = tuple(
+                DiagonalMatrix(random_block(rng, 1, w, k).blocks[0]) for w in widths[1:-1]
+            )
+            c = FactorizationCertificate(alphas, diags)
+            inners.append(c.scaled(rng.uniform(0.1, 1.0) / cost(c)))
+        out = pinch_certificate(inners, ProjectionPartition(P))
+        expected = sum(
+            np.einsum("ab,ijbc,cd->ijad", P[m], evaluate(c).blocks, P[m])
+            for m, c in enumerate(inners)
+        )
+        assert np.abs(evaluate(out).blocks - expected).max() <= 1e-10
+        assert cost(out) <= max(cost(c) for c in inners) * (1 + 1e-9)
 
     def test_cost_precondition_enforced(self, rng):
         n, k = 2, 4

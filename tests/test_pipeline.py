@@ -55,19 +55,6 @@ class TestAssembleFromApproximant:
         assert report.bound == pytest.approx(report.extra["K"] + 2)
         assert cert.d == 3
 
-    def test_explicit_epsilon(self, rng):
-        z, near = near_pair(rng, 2, 12, 0.03)
-        report, _ = assemble_from_approximant(z, near, eps=0.1)
-        assert report.epsilon == 0.1
-        assert report.passed
-
-    def test_epsilon_too_small_refused(self, rng):
-        z, near = near_pair(rng, 2, 12, 0.1)
-        from oplength import MassPreconditionError
-
-        with pytest.raises(MassPreconditionError):
-            assemble_from_approximant(z, near, eps=0.01)
-
     def test_wrong_block_order_refused_at_difference(self, rng):
         z = random_block(rng, 2, 2, 4)
         near = universal_depth1(random_block(rng, 2, 2, 1))

@@ -77,15 +77,21 @@ class TestAmplification:
         np.testing.assert_allclose(_apply_amplified(u, x, 2, 1), u.apply(x))
 
     def test_blockwise_action(self, rng):
-        u = SimilarityHom(np.diag([2.0, 1.0]))
-        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        out = _apply_amplified(u, X, 2, 2)
-        B = X.reshape(2, 2, 2, 2)
-        for i in range(2):
-            for j in range(2):
-                np.testing.assert_allclose(
-                    out.reshape(2, 2, 2, 2)[i, :, j, :], u.apply(B[i, :, j, :])
-                )
+        # the explicit loop over the m**2 blocks is the oracle; same arithmetic, same bytes
+        k, m = 3, 3
+        xi = np.diag([2.0, 1.0, 0.5]) + 0.1 * rng.standard_normal((k, k))
+        T = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        X = rng.standard_normal((m * k, m * k)) + 1j * rng.standard_normal((m * k, m * k))
+        B = X.reshape(m, k, m, k)
+        for op in (SimilarityHom(xi), InnerDerivation(T)):
+            for adjoint in (False, True):
+                f = op.apply_adjoint if adjoint else op.apply
+                expected = np.empty_like(B)
+                for i in range(m):
+                    for j in range(m):
+                        expected[i, :, j, :] = f(B[i, :, j, :])
+                out = _apply_amplified(op, X, k, m, adjoint=adjoint)
+                assert out.tobytes() == expected.reshape(m * k, m * k).tobytes()
 
 
 class TestCbLowerBound:
