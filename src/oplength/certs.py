@@ -28,6 +28,7 @@ from .blocks import (
 __all__ = [
     "FactorizationCertificate",
     "VerificationReport",
+    "UniformityError",
     "RowDecomposition",
     "evaluate",
     "cost",
@@ -39,6 +40,10 @@ __all__ = [
     "rebalance",
     "rebalance_diags",
 ]
+
+
+class UniformityError(AssertionError):
+    """Scalar factors or widths differ across inputs of the same shape."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,8 @@ class FactorizationCertificate:
         if len(alphas) != len(diags) + 1 or not diags:
             raise ShapeMismatchError("need d diagonals and d+1 scalar factors, d >= 1")
         for i, D in enumerate(diags):
+            if D.size == 0:
+                raise ShapeMismatchError(f"zero width at junction {i}")
             if alphas[i].shape[1] != D.size or alphas[i + 1].shape[0] != D.size:
                 raise ShapeMismatchError(
                     f"width mismatch at junction {i}: "
@@ -69,6 +76,8 @@ class FactorizationCertificate:
                 raise ShapeMismatchError("diagonal entries have mixed block orders")
         if alphas[0].shape[0] != alphas[-1].shape[1]:
             raise ShapeMismatchError("outer shape is not square")
+        if alphas[0].shape[0] == 0:
+            raise ShapeMismatchError("zero outer width")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "diags", diags)
 
@@ -221,6 +230,15 @@ def _split_outer(cert: FactorizationCertificate) -> FactorizationCertificate:
         return cert
     alphas = (cert.alphas[0] / np.sqrt(c),) + cert.alphas[1:-1] + (cert.alphas[-1] * np.sqrt(c),)
     return FactorizationCertificate(alphas, cert.diags)
+
+
+def _check_same_scalars(cert: FactorizationCertificate, ref: FactorizationCertificate, where: str):
+    """Raise :class:`UniformityError` unless cert and ref share widths and scalar bytes."""
+    if cert.widths != ref.widths:
+        raise UniformityError(f"widths differ {where}: {cert.widths} vs {ref.widths}")
+    for i, (a, b) in enumerate(zip(cert.alphas, ref.alphas)):
+        if a.tobytes() != b.tobytes():
+            raise UniformityError(f"scalar factor {i} differs {where}")
 
 
 def direct_sum(certs) -> FactorizationCertificate:

@@ -24,6 +24,7 @@ from .blocks import (
 from .certs import (
     FactorizationCertificate,
     RowDecomposition,
+    _check_same_scalars,
     conjugate,
     cost,
     direct_sum,
@@ -308,18 +309,20 @@ def pinch_certificate(inner_certs, part: ProjectionPartition):
 
     The inner certificates (one per partition element, each of cost at
     most 1) are direct-summed and conjugated by the partition row
-    decomposition on both sides.  When they share their scalar factors,
-    as one construction's certificates of one shape do, the total cost
-    stays below the largest inner cost.
+    decomposition on both sides.  They must share widths and scalar
+    factors bitwise, as one construction's certificates of one shape
+    do (:class:`UniformityError` otherwise), so the total cost stays
+    below the largest inner cost.
     """
     inner_certs = list(inner_certs)
     n = part.n
     if len(inner_certs) != n:
         raise ShapeMismatchError("need one inner certificate per partition element")
     d = inner_certs[0].d
-    for c in inner_certs:
+    for m, c in enumerate(inner_certs):
         if c.d != d or c.n != n or c.k != part.k:
             raise ShapeMismatchError("inner certificates must share depth and shape")
+        _check_same_scalars(c, inner_certs[0], f"between inner certificates 0 and {m}")
         if cost(c) > 1 + 1e-9:
             raise ValueError("inner certificate cost exceeds 1")
     dsum = direct_sum(rebalance_diags(c) for c in inner_certs)

@@ -13,6 +13,8 @@ import numpy as np
 from .blocks import BlockMatrix, DiagonalMatrix, ShapeMismatchError, block_diag, block_l2
 from .certs import (
     FactorizationCertificate,
+    UniformityError,
+    _check_same_scalars,
     add,
     cost,
     evaluate,
@@ -207,10 +209,6 @@ CONSTRUCTIONS = {
 }
 
 
-class UniformityError(AssertionError):
-    """Scalar factors or widths differ across inputs of the same shape."""
-
-
 def scalar_digest(cert: FactorizationCertificate) -> str:
     """Content digest of the scalar data (widths and alpha factors)."""
     h = hashlib.sha256()
@@ -218,15 +216,6 @@ def scalar_digest(cert: FactorizationCertificate) -> str:
     for a in cert.alphas:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
-
-
-def _check_same_scalars(cert: FactorizationCertificate, ref: FactorizationCertificate, where: str):
-    """Raise :class:`UniformityError` unless cert and ref share widths and scalar bytes."""
-    if cert.widths != ref.widths:
-        raise UniformityError(f"widths differ {where}: {cert.widths} vs {ref.widths}")
-    for i, (a, b) in enumerate(zip(cert.alphas, ref.alphas)):
-        if a.tobytes() != b.tobytes():
-            raise UniformityError(f"scalar factor {i} differs {where}")
 
 
 def uniformity_check(construction: str, n: int, k: int, trials: int, seed: int) -> dict:

@@ -4,6 +4,12 @@ Complex values are encoded as ``[re, im]`` pairs of decimal doubles;
 Python's shortest-round-trip float formatting makes write-then-read
 bit-exact.  Output is strict JSON: a non-finite float in a report is
 written as ``null``.
+
+Instance and certificate files are written as text straight from the
+arrays, with no nested Python lists in between; the bytes are those of
+``json.dumps`` on the ``[re, im]`` lists, with the same keys, key order
+and separators.  Reading is plain ``json.loads``, so files from any
+other JSON writer load too.
 """
 
 from __future__ import annotations
@@ -25,8 +31,42 @@ __all__ = [
 ]
 
 
-def _encode_complex(a: np.ndarray):
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+def _complex_json(a: np.ndarray) -> str:
+    """``json.dumps(np.stack([a.real, a.imag], -1).tolist())``, built without the lists.
+
+    Each distinct bit pattern of the interleaved ``[re, im]`` doubles is
+    formatted once by ``float.__repr__`` (as ``json`` does, keeping 0.0
+    and -0.0 apart); the separator after each number, ``", "`` or
+    ``"], ["`` with as many brackets as axes end there, follows from its
+    flat index, and one ``str.join`` makes the text.
+    """
+    shape = a.shape + (2,)
+    flat = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1)
+    if flat.size == 0:
+        return json.dumps(np.zeros(shape).tolist())
+    bits, index = np.unique(flat.view(np.uint64), return_inverse=True)
+    values = bits.view(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite values cannot be written as JSON")
+    words = np.array([float.__repr__(v) for v in values.tolist()], dtype=object)
+    # closing brackets after each number of one slice along the first axis
+    period = flat.size // shape[0]
+    closes = np.zeros(period, dtype=np.intp)
+    step = 1
+    for n in shape[:0:-1]:
+        step *= n
+        closes[step - 1::step] += 1
+    seps = np.array(["]" * j + ", " + "[" * j for j in range(len(shape))], dtype=object)
+    out = [None] * (2 * flat.size + 1)
+    out[0] = "[" * len(shape)
+    out[1::2] = words[index].tolist()
+    out[2::2] = seps[closes].tolist() * shape[0]
+    out[-1] = "]" * len(shape)
+    return "".join(out)
+
+
+def _complex_list_json(arrays) -> str:
+    return "[" + ", ".join([_complex_json(a) for a in arrays]) + "]"
 
 
 def _decode_complex(data, name: str) -> np.ndarray:
@@ -44,8 +84,7 @@ def _finite_or_null(v):
 
 
 def instance_to_json(x: BlockMatrix) -> str:
-    doc = {"n": x.n, "k": x.k, "blocks": _encode_complex(x.blocks)}
-    return json.dumps(doc)
+    return f'{{"n": {x.n}, "k": {x.k}, "blocks": {_complex_json(x.blocks)}}}'
 
 
 def instance_from_json(text: str) -> BlockMatrix:
@@ -61,15 +100,12 @@ def instance_from_json(text: str) -> BlockMatrix:
 
 def certificate_to_json(cert: FactorizationCertificate) -> str:
     """The factors, plus the cost under ``claimed_cost`` (ignored on load)."""
-    doc = {
-        "d": cert.d,
-        "k": cert.k,
-        "widths": list(cert.widths),
-        "alphas": [_encode_complex(a) for a in cert.alphas],
-        "diags": [_encode_complex(D.entries) for D in cert.diags],
-        "claimed_cost": _finite_or_null(cost(cert)),
-    }
-    return json.dumps(doc, allow_nan=False)
+    return (
+        f'{{"d": {cert.d}, "k": {cert.k}, "widths": {json.dumps(list(cert.widths))}, '
+        f'"alphas": {_complex_list_json(cert.alphas)}, '
+        f'"diags": {_complex_list_json(D.entries for D in cert.diags)}, '
+        f'"claimed_cost": {json.dumps(_finite_or_null(cost(cert)))}}}'
+    )
 
 
 def certificate_from_json(text: str) -> FactorizationCertificate:

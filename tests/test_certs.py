@@ -25,21 +25,9 @@ from oplength import (
     universal_depth1,
     verify,
 )
-from oplength.blocks import block_diag
+from oplength.blocks import block_diag, scalar_norm
 
-from conftest import random_block
-
-
-def random_certificate(rng, n=2, k=2, d=2, widths=(3, 4)):
-    ws = (n,) + tuple(widths[:d]) + (n,)
-    alphas = tuple(
-        (rng.standard_normal((ws[i], ws[i + 1])) + 1j * rng.standard_normal((ws[i], ws[i + 1])))
-        for i in range(d + 1)
-    )
-    diags = tuple(
-        DiagonalMatrix(random_block(rng, 1, ws[i + 1], k).blocks[0]) for i in range(d)
-    )
-    return FactorizationCertificate(alphas, diags)
+from conftest import random_block, random_certificate
 
 
 class TestEvaluateAndCost:
@@ -89,6 +77,17 @@ class TestEvaluateAndCost:
         with pytest.raises(ShapeMismatchError):
             FactorizationCertificate(bad, cert.diags)
 
+    @pytest.mark.parametrize("widths, named", [
+        ((2, 0, 2), "zero width at junction 0"),
+        ((2, 3, 0, 2), "zero width at junction 1"),
+        ((0, 3, 0), "zero outer width"),
+    ])
+    def test_zero_width_rejected(self, widths, named):
+        alphas = tuple(np.ones((widths[i], widths[i + 1])) for i in range(len(widths) - 1))
+        diags = tuple(DiagonalMatrix(np.ones((w, 2, 2))) for w in widths[1:-1])
+        with pytest.raises(ShapeMismatchError, match=named):
+            FactorizationCertificate(alphas, diags)
+
 
 class TestAlgebraProperties:
     @given(seed=st.integers(0, 10**6), count=st.integers(1, 3), d=st.integers(1, 3))
@@ -117,6 +116,41 @@ class TestAlgebraProperties:
         err = operator_norm(evaluate(total) - (evaluate(cu) + evaluate(cv)))
         assert err <= 1e-10 * max(1.0, cost(cu) + cost(cv))
         assert cost(total) <= (cost(cu) + cost(cv)) * (1 + 1e-9)
+
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 3), extra=st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_pad_keeps_value_and_cost(self, seed, d, extra):
+        rng = np.random.default_rng(seed)
+        cert = random_certificate(rng, n=int(rng.integers(1, 4)), k=int(rng.integers(1, 4)), d=d,
+                                  widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
+        value, c = evaluate(cert).dense(), cost(cert)
+        for deep, depth in ((pad(cert), d + 1), (pad_to(cert, d + extra), d + extra)):
+            assert deep.d == depth
+            assert np.abs(evaluate(deep).dense() - value).max() <= 1e-12 * max(1.0, c)
+            assert abs(cost(deep) - c) <= 1e-12 * c
+
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_conjugate_value_and_cost_within_product(self, seed, d):
+        rng = np.random.default_rng(seed)
+        n, k, m = (int(v) for v in rng.integers(1, 4, size=3))
+        inner = random_certificate(rng, n=n, k=k, d=d,
+                                   widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
+
+        def row():
+            N = int(rng.integers(1, 5))
+            a0, w = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((m, N), (N, n)))
+            return RowDecomposition(a0, DiagonalMatrix(random_block(rng, 1, N, k).blocks[0]), w)
+
+        left, right = row(), row()
+        out = conjugate(left, inner, right)
+        bound = cost(inner)
+        for r in (left, right):
+            bound *= scalar_norm(r.alpha0) * r.diag.norm() * scalar_norm(r.w)
+        expected = left.as_block_matrix() @ evaluate(inner) @ right.as_block_matrix().adjoint()
+        assert out.d == d + 2
+        assert np.abs(evaluate(out).dense() - expected.dense()).max() <= 1e-10 * max(1.0, bound)
+        assert cost(out) <= bound * (1 + 1e-9)
 
     @given(
         seed=st.integers(0, 10**6),

@@ -20,6 +20,7 @@ from oplength import (
 )
 from oplength.cli import main
 from oplength.serial import (
+    _complex_json,
     certificate_from_json,
     certificate_to_json,
     instance_from_json,
@@ -39,6 +40,21 @@ def wide_complex(rng, shape):
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pairs(a):
+    """The ``[re, im]`` nested lists that ``json.dumps`` writes for a complex array."""
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+# zeros, subnormals, the largest doubles, and both sides of the switches of
+# float.__repr__ to exponent notation at 1e16 and 1e-4
+EDGE_DOUBLES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16,
+    9.999999999999999e-05, 1e-4, 0.00010000000000000002, -1e-4,
+]
 
 
 class TestSerialization:
@@ -63,6 +79,21 @@ class TestSerialization:
         assert back.widths == cert.widths
         assert all(same_bits(a, b) for a, b in zip(back.alphas, cert.alphas))
         assert all(same_bits(D.entries, E.entries) for D, E in zip(back.diags, cert.diags))
+
+    @given(data=st.data(), shape=st.lists(st.integers(0, 3), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_complex_json_is_json_dumps_of_pairs(self, data, shape):
+        size = 2 * int(np.prod(shape))
+        doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                            st.sampled_from(EDGE_DOUBLES))
+        parts = np.array(data.draw(st.lists(doubles, min_size=size, max_size=size)), dtype=float)
+        a = parts.reshape(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+        for b in (a, a.T):
+            assert _complex_json(b) == json.dumps(pairs(b))
+
+    def test_complex_json_refuses_non_finite(self):
+        with pytest.raises(ValueError):
+            _complex_json(np.array([[1.0, complex(0.0, np.inf)]]))
 
     def test_instance_round_trip_bit_exact(self, rng):
         x = random_block(rng, 3, 3, 4)
@@ -100,6 +131,32 @@ class TestCli:
             "--out", str(path),
         ]) == 0
         return path
+
+    @pytest.mark.parametrize("n, k", [(2, 4), (3, 6)])
+    @pytest.mark.parametrize("construction", ["length1", "lemma5", "sub18", "sub19", "t13"])
+    def test_files_are_json_dumps_text_and_re_encode_identically(self, tmp_path, construction,
+                                                                 n, k):
+        inst = self.run_gen(tmp_path, n=n, k=k)
+        text = inst.read_text()
+        x = instance_from_json(text)
+        assert text == json.dumps({"n": n, "k": k, "blocks": pairs(x.blocks)})
+        assert instance_to_json(x) == text
+        path = tmp_path / "cert.json"
+        assert main([
+            "factor", "--instance", str(inst), "--construction", construction,
+            "--out", str(path),
+        ]) == 0
+        text = path.read_text()
+        cert = certificate_from_json(text)
+        assert certificate_to_json(cert) == text
+        assert text == json.dumps({
+            "d": cert.d,
+            "k": cert.k,
+            "widths": list(cert.widths),
+            "alphas": [pairs(a) for a in cert.alphas],
+            "diags": [pairs(D.entries) for D in cert.diags],
+            "claimed_cost": cost(cert),
+        })
 
     def test_gen_deterministic(self, tmp_path):
         a = self.run_gen(tmp_path, name="a.json")

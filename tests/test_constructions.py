@@ -13,6 +13,7 @@ from oplength import (
     FamilyRelationError,
     IsometryFamily,
     ProjectionPartition,
+    UniformityError,
     corner_embedding_certificate,
     cost,
     diagonal_embedding_certificate,
@@ -303,6 +304,23 @@ class TestPinchCertificate:
         big = universal_depth1(random_block(rng, n, n, k) * 100.0)
         with pytest.raises(ValueError):
             pinch_certificate([big, big], part)
+
+    def test_inner_scalars_must_agree(self):
+        # each inner has cost 1, but summing them would give cost 100 for a value of norm 1
+        eye = np.eye(2, dtype=complex)
+        unit = DiagonalMatrix.unit(2, 4)
+        a = FactorizationCertificate((10 * eye, 0.1 * eye), (unit,))
+        b = FactorizationCertificate((0.1 * eye, 10 * eye), (unit,))
+        with pytest.raises(UniformityError, match="scalar factor 0 differs"):
+            pinch_certificate([a, b], diagonal_partition(2, 4))
+
+    def test_inner_widths_must_agree(self):
+        eye = np.eye(2, dtype=complex)
+        a = FactorizationCertificate((eye, eye), (DiagonalMatrix.unit(2, 4),))
+        b = FactorizationCertificate((np.ones((2, 3)) / 3, np.ones((3, 2)) / 3),
+                                     (DiagonalMatrix.unit(3, 4),))
+        with pytest.raises(UniformityError, match="widths differ"):
+            pinch_certificate([a, b], diagonal_partition(2, 4))
 
 
 class TestDiagonalEmbedding:

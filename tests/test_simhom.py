@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplength import (
     CbLowerBound,
@@ -19,7 +21,7 @@ from oplength import (
 )
 from oplength.simhom import _apply_amplified
 
-from conftest import random_block
+from conftest import random_block, random_certificate
 
 
 class TestSimilarityHom:
@@ -160,6 +162,20 @@ class TestDerivationCheck:
 
 
 class TestPushThrough:
+    @given(seed=st.integers(0, 10**6), k=st.integers(1, 3), d=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_value_is_amplified_image_and_cost_within_bound(self, seed, k, d):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        u = SimilarityHom(2 * np.eye(k) + g)
+        cert = random_certificate(rng, n=int(rng.integers(1, 4)), k=k, d=d,
+                                  widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
+        pushed = push_through(u, cert)
+        bound = u.norm_upper() ** d * cost(cert)
+        expected = u.apply(evaluate(cert).blocks)
+        assert np.abs(evaluate(pushed).blocks - expected).max() <= 1e-10 * max(1.0, bound)
+        assert cost(pushed) <= bound * (1 + 1e-9)
+
     def test_evaluate_contract(self, rng):
         u = SimilarityHom(np.diag([2.0, 1.0, 1.0]))
         x = random_block(rng, 2, 2, 3)
