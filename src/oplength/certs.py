@@ -119,8 +119,9 @@ class VerificationReport:
 def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
     """The alternating product a_0 D_1 a_1 ... D_d a_d as a BlockMatrix.
 
-    Scalar factors are applied through the block structure rather than
-    by materializing their inflations.
+    The product starts from the materialized inflation a_d (x) I_k; the
+    other scalar factors are applied through the block structure rather
+    than by materializing their inflations.
     """
     k = cert.k
     M = inflate(cert.alphas[-1], k)

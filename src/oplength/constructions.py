@@ -88,17 +88,27 @@ class IsometryFamily:
         return self.a.shape[1]
 
     def validate(self, tol: float = _RELATION_TOL) -> None:
-        n = self.n
-        ab = np.einsum("iab,jbc->ijac", self.a, self.b, optimize=True)
-        cd = np.einsum("iab,jbc->ijac", self.c, self.d, optimize=True)
-        delta = np.eye(n)[:, :, None, None]
-        if np.abs(ab - delta * self.p).max() > tol:
-            raise FamilyRelationError("a_i b_j != delta_ij p")
-        if np.abs(cd - delta * self.q).max() > tol:
-            raise FamilyRelationError("c_i d_j != delta_ij q")
-        if operator_norm(np.einsum("iab,icb->ac", self.b, self.b.conj())) > 1 + tol:
+        """Check the four relations, each by one stacked GEMM.
+
+        With x_rows = [x_0; ...; x_{n-1}] (n*k x k) and x_cols = [x_0 ... x_{n-1}]
+        (k x n*k), block (i, j) of a_rows @ b_cols is a_i b_j, b_cols @ b_cols*
+        is sum_i b_i b_i* and c_rows* @ c_rows is sum_j c_j* c_j.
+        """
+        n, k = self.n, self.k
+        diag = np.arange(n)
+        for left, right, proj, message in (
+            (self.a, self.b, self.p, "a_i b_j != delta_ij p"),
+            (self.c, self.d, self.q, "c_i d_j != delta_ij q"),
+        ):
+            prod = left.reshape(n * k, k) @ right.transpose(1, 0, 2).reshape(k, n * k)
+            prod.reshape(n, k, n, k)[diag, :, diag, :] -= proj
+            if np.abs(prod).max() > tol:
+                raise FamilyRelationError(message)
+        b = self.b.transpose(1, 0, 2).reshape(k, n * k)
+        if operator_norm(b @ b.conj().T) > 1 + tol:
             raise FamilyRelationError("row sum b b* exceeds the unit ball")
-        if operator_norm(np.einsum("iba,ibc->ac", self.c.conj(), self.c)) > 1 + tol:
+        c = self.c.reshape(n * k, k)
+        if operator_norm(c.conj().T @ c) > 1 + tol:
             raise FamilyRelationError("column sum c* c exceeds the unit ball")
 
 
@@ -242,12 +252,19 @@ def projection_isometries(p: np.ndarray, n: int) -> np.ndarray:
 
 
 def family_from_projections(p: np.ndarray, q: np.ndarray, n: int) -> IsometryFamily:
-    """Isometry family compressing to [p x q], from orthogonal copies of p and q."""
+    """Isometry family compressing to [p x q], from orthogonal copies of p and q.
+
+    When q has the bytes of p its isometries are those of p (copied, as
+    the construction is deterministic), so they are built once.
+    """
+    p = np.asarray(p, dtype=np.complex128)
+    q = np.asarray(q, dtype=np.complex128)
     v = projection_isometries(p, n)
-    w = projection_isometries(q, n)
+    same = q.shape == p.shape and q.tobytes() == p.tobytes()
+    w = v.copy() if same else projection_isometries(q, n)
     return IsometryFamily(
-        p=np.asarray(p, dtype=np.complex128),
-        q=np.asarray(q, dtype=np.complex128),
+        p=p,
+        q=q,
         a=v.conj().transpose(0, 2, 1),
         b=v,
         c=w.conj().transpose(0, 2, 1),

@@ -206,3 +206,43 @@ class TestAlgebraInvariants:
         expected = max(np.linalg.norm(e, 2) for e in entries)
         assert D.norm() == pytest.approx(expected)
         assert operator_norm(D.dense()) == pytest.approx(expected, abs=1e-10)
+
+
+def _repeated_diagonal(case, k, rng):
+    base = random_block(rng, 1, 3, k).blocks[0]
+    if case == "repeat":
+        return DiagonalMatrix(np.repeat(base, 4, axis=0))
+    if case == "unit":
+        return DiagonalMatrix.unit(5, k)
+    if case == "adjoint":
+        return DiagonalMatrix(np.repeat(base, 4, axis=0)).adjoint()
+    # "signed_zero": bitwise distinct entries equal as numbers
+    plus = base.copy()
+    plus[:, 0, -1] = 0.0
+    minus = plus.copy()
+    minus[:, 0, -1] = -0.0
+    return DiagonalMatrix(np.concatenate([plus, minus, plus]))
+
+
+class TestDiagonalNorm:
+    @pytest.mark.parametrize("k", [3, 16, 32])
+    @pytest.mark.parametrize("case", ["repeat", "unit", "adjoint", "signed_zero"])
+    def test_bitwise_equal_to_norm_over_all_entries(self, case, k, rng):
+        D = _repeated_diagonal(case, k, rng)
+        expected = np.linalg.norm(D.entries, 2, axis=(1, 2)).max()
+        assert np.float64(D.norm()).tobytes() == expected.tobytes()
+
+    def test_one_svd_per_distinct_entry_and_none_on_repeat(self, rng, monkeypatch):
+        svd = np.linalg.svd
+        batches = []
+
+        def counting_svd(a, *args, **kwargs):
+            batches.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        D = _repeated_diagonal("signed_zero", 4, rng)
+        first = D.norm()
+        assert batches == [6]
+        assert D.norm() == first
+        assert batches == [6]

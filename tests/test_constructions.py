@@ -1,5 +1,8 @@
 """The explicit factorization constructions and their cost guarantees."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +136,66 @@ class TestMatrixUnitFamily:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             matrix_unit_family(2, 3, 0, 1)
+
+
+def haar_rotated_partition(n, k, seed):
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return np.stack([u @ pm @ u.conj().T for pm in diagonal_partition(n, k).projections])
+
+
+FAMILY_MESSAGES = [
+    "a_i b_j != delta_ij p",
+    "c_i d_j != delta_ij q",
+    "row sum b b* exceeds the unit ball",
+    "column sum c* c exceeds the unit ball",
+]
+
+
+def break_relation(fam, relation):
+    """fam with exactly one of its four relations broken."""
+    a, b, c, d = (x.copy() for x in (fam.a, fam.b, fam.c, fam.d))
+    if relation == 0:
+        a[0] += 1e-6 * a[1]      # moves a_0 b_1 only
+    elif relation == 1:
+        d[0] *= 1 + 1e-6         # moves c_0 d_0 only
+    elif relation == 2:
+        a /= 1.001               # keeps every a_i b_j
+        b *= 1.001
+    else:
+        c *= 1.001
+        d /= 1.001
+    return replace(fam, a=a, b=b, c=c, d=d)
+
+
+class TestFamilyValidate:
+    @pytest.mark.parametrize("relation", range(4))
+    @pytest.mark.parametrize("source", ["matrix_unit", "projections"])
+    def test_rejects_each_relation_alone(self, relation, source):
+        if source == "matrix_unit":
+            fam = matrix_unit_family(2, 3, 2, 3)
+        else:
+            P = haar_rotated_partition(3, 12, 1)
+            fam = family_from_projections(P[0], P[1], 3)
+        fam.validate()
+        with pytest.raises(FamilyRelationError, match=re.escape(FAMILY_MESSAGES[relation])):
+            break_relation(fam, relation).validate()
+
+    @pytest.mark.parametrize("n,r,s", [(1, 1, 1), (3, 1, 1), (3, 2, 3), (3, 3, 1), (4, 4, 4)])
+    def test_accepts_matrix_unit_corners(self, n, r, s):
+        matrix_unit_family(2, n, r, s).validate(1e-14)
+
+    @pytest.mark.parametrize("n,k,seed", [(2, 4, 0), (3, 12, 1), (4, 16, 2)])
+    def test_accepts_haar_rotated_projection_families(self, n, k, seed):
+        P = haar_rotated_partition(n, k, seed)
+        family_from_projections(P[0], P[-1], n).validate(1e-14)
+        fam = family_from_projections(P[0], P[0].copy(), n)
+        fam.validate(1e-14)
+        # q with p's bytes reuses p's isometries, which equal q's own
+        assert fam.d.tobytes() == projection_isometries(P[0], n).tobytes()
+        assert fam.d is not fam.b
 
 
 class TestProjectionIsometries:
