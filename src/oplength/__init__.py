@@ -8,7 +8,6 @@ from .blocks import (
     block_l2,
     fourier_unitary,
     hermitian_spectral,
-    inflate,
     normalized_trace,
     operator_norm,
     psd_sqrt,

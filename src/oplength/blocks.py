@@ -21,7 +21,6 @@ __all__ = [
     "ShapeMismatchError",
     "HermitianError",
     "block_diag",
-    "inflate",
     "scalar_norm",
     "operator_norm",
     "hermitian_spectral",
@@ -179,9 +178,6 @@ class DiagonalMatrix:
     def scaled(self, c: complex) -> "DiagonalMatrix":
         return DiagonalMatrix(self.entries * c)
 
-    def dense(self) -> np.ndarray:
-        return block_diag(self.entries)
-
 
 def block_diag(mats) -> np.ndarray:
     """The complex matrix with the 2-d arrays ``mats`` along its diagonal, zero elsewhere."""
@@ -195,11 +191,6 @@ def block_diag(mats) -> np.ndarray:
         r += m.shape[0]
         c += m.shape[1]
     return out
-
-
-def inflate(alpha: np.ndarray, k: int) -> np.ndarray:
-    """Tensor a scalar matrix with the identity of M_k."""
-    return np.kron(np.asarray(alpha, dtype=np.complex128), np.eye(k))
 
 
 def scalar_norm(alpha: np.ndarray) -> float:
@@ -272,8 +263,7 @@ def spectral_projection(a: np.ndarray, t: float) -> np.ndarray:
     """
     a = _check_hermitian(a)
     vals, vecs = np.linalg.eigh(a)
-    keep = vals >= t - 1e-12
-    V = vecs[:, keep]
+    V = vecs[:, vals >= t - 1e-12]
     return V @ V.conj().T
 
 

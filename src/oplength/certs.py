@@ -20,7 +20,6 @@ from .blocks import (
     DiagonalMatrix,
     ShapeMismatchError,
     block_diag,
-    inflate,
     operator_norm,
     scalar_norm,
 )
@@ -52,8 +51,8 @@ class FactorizationCertificate:
 
     ``alphas`` holds d+1 scalar matrices with shapes chaining as
     n x N_1, N_1 x N_2, ..., N_d x n; ``diags`` holds d block-diagonal
-    factors, the i-th of size N_i.  Widths are stored explicitly so
-    uniformity checks can compare them as data.
+    factors, the i-th of size N_i.  ``widths`` is computed from the
+    factor shapes, so uniformity checks can compare it as data.
     """
 
     alphas: tuple  # d+1 scalar ndarrays
@@ -62,6 +61,8 @@ class FactorizationCertificate:
     def __post_init__(self):
         alphas = tuple(np.asarray(a, dtype=np.complex128) for a in self.alphas)
         diags = tuple(self.diags)
+        if any(a.ndim != 2 for a in alphas):
+            raise ShapeMismatchError("scalar factors must be matrices")
         if len(alphas) != len(diags) + 1 or not diags:
             raise ShapeMismatchError("need d diagonals and d+1 scalar factors, d >= 1")
         for i, D in enumerate(diags):
@@ -116,22 +117,26 @@ class VerificationReport:
         return asdict(self)
 
 
-def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
-    """The alternating product a_0 D_1 a_1 ... D_d a_d as a BlockMatrix.
+def _product(alphas, diags, k: int) -> np.ndarray:
+    """The dense alternating product a_0 D_1 a_1 ... D_d a_d over M_k.
 
     The product starts from the materialized inflation a_d (x) I_k; the
     other scalar factors are applied through the block structure rather
     than by materializing their inflations.
     """
-    k = cert.k
-    M = inflate(cert.alphas[-1], k)
-    for i in range(cert.d, 0, -1):
-        D = cert.diags[i - 1].entries
+    M = np.kron(alphas[-1], np.eye(k))
+    for i in range(len(diags), 0, -1):
+        D = diags[i - 1].entries
         N = D.shape[0]
         M = (D @ M.reshape(N, k, -1)).reshape(N * k, -1)
-        a = cert.alphas[i - 1]
+        a = alphas[i - 1]
         M = np.tensordot(a, M.reshape(N, k, -1), axes=(1, 0)).reshape(a.shape[0] * k, -1)
-    return BlockMatrix.from_dense(M, k)
+    return M
+
+
+def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
+    """The alternating product a_0 D_1 a_1 ... D_d a_d as a BlockMatrix."""
+    return BlockMatrix.from_dense(_product(cert.alphas, cert.diags, cert.k), cert.k)
 
 
 def cost(cert: FactorizationCertificate) -> float:
@@ -171,10 +176,8 @@ def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) ->
 
 def pad(cert: FactorizationCertificate) -> FactorizationCertificate:
     """Depth d+1 certificate with the same value and cost (unit trailing factors)."""
-    n, k = cert.n, cert.k
-    alphas = cert.alphas + (np.eye(n, dtype=np.complex128),)
-    diags = cert.diags + (DiagonalMatrix.unit(n, k),)
-    return FactorizationCertificate(alphas, diags)
+    eye, unit = np.eye(cert.n, dtype=np.complex128), DiagonalMatrix.unit(cert.n, cert.k)
+    return FactorizationCertificate(cert.alphas + (eye,), cert.diags + (unit,))
 
 
 def pad_to(cert: FactorizationCertificate, depth: int) -> FactorizationCertificate:
@@ -185,8 +188,7 @@ def pad_to(cert: FactorizationCertificate, depth: int) -> FactorizationCertifica
 
 def _unit_diags(diags):
     """Each nonzero diagonal divided by its norm, and the product of those norms."""
-    scale = 1.0
-    out = []
+    scale, out = 1.0, []
     for D in diags:
         nD = D.norm()
         if nD > 0:
@@ -197,9 +199,11 @@ def _unit_diags(diags):
 
 
 def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
-    """Same value, with every factor after a_0 normalized and a_0 carrying the cost.
+    """Same value; interior factors of norm 1 and sqrt(cost) on each of a_0 and a_d.
 
-    Zero factors are left in place (the value is then zero regardless).
+    The interior norms are first moved onto a_0, which then shares the
+    cost with a_d.  Zero factors are left in place (the value is then
+    zero regardless).
     """
     diags, scale = _unit_diags(cert.diags)
     alphas = [cert.alphas[0]]
@@ -210,27 +214,21 @@ def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
             a = a / na
         alphas.append(a)
     alphas[0] = alphas[0] * scale
+    c = scalar_norm(alphas[0])
+    if c != 0:
+        alphas[0], alphas[-1] = alphas[0] / np.sqrt(c), alphas[-1] * np.sqrt(c)
     return FactorizationCertificate(tuple(alphas), tuple(diags))
 
 
 def rebalance_diags(cert: FactorizationCertificate) -> FactorizationCertificate:
-    """Same value and scalar factors; diagonal norms pushed into the first diagonal.
+    """Same value and scalar factors; all diagonal norms go onto the first diagonal.
 
     Used before direct-summing certificates so the summed diagonal norms
     do not multiply up across positions, while the scalar data stays
-    untouched (it must remain independent of the input values).
+    untouched (it must remain independent of the input values, bitwise).
     """
     diags, scale = _unit_diags(cert.diags[1:])
     return FactorizationCertificate(cert.alphas, (cert.diags[0].scaled(scale), *diags))
-
-
-def _split_outer(cert: FactorizationCertificate) -> FactorizationCertificate:
-    """Move half of a rebalanced certificate's cost onto the trailing scalar."""
-    c = scalar_norm(cert.alphas[0])
-    if c == 0:
-        return cert
-    alphas = (cert.alphas[0] / np.sqrt(c),) + cert.alphas[1:-1] + (cert.alphas[-1] * np.sqrt(c),)
-    return FactorizationCertificate(alphas, cert.diags)
 
 
 def _check_same_scalars(cert: FactorizationCertificate, ref: FactorizationCertificate, where: str):
@@ -262,9 +260,9 @@ def direct_sum(certs) -> FactorizationCertificate:
 def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> FactorizationCertificate:
     """Certificate for evaluate(cu) + evaluate(cv) at the same depth.
 
-    Both inputs are rebalanced so the interior factors are contractions
-    and the cost is split evenly between the two outer scalars; the
-    leading scalars are then row-concatenated, the trailing ones
+    Both inputs are rebalanced (:func:`rebalance`: contractions inside,
+    the cost split evenly between the two outer scalars); the leading
+    scalars are then row-concatenated, the trailing ones
     column-concatenated, and everything in between is direct-summed,
     giving cost <= cost_u + cost_v (optimal for concatenation-based
     sums: the product of the two concatenation bounds is at least the
@@ -272,7 +270,7 @@ def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> Factoriza
     """
     if cu.d != cv.d or cu.n != cv.n or cu.k != cv.k:
         raise ShapeMismatchError("certificates must share depth, outer shape and block order")
-    cu, cv = _split_outer(rebalance(cu)), _split_outer(rebalance(cv))
+    cu, cv = rebalance(cu), rebalance(cv)
     s = direct_sum([cu, cv])
     alphas = (
         (np.hstack([cu.alphas[0], cv.alphas[0]]),)
@@ -310,8 +308,7 @@ class RowDecomposition:
 
     def as_block_matrix(self) -> BlockMatrix:
         k = self.diag.k
-        M = inflate(self.alpha0, k) @ self.diag.dense() @ inflate(self.w, k)
-        return BlockMatrix.from_dense(M, k)
+        return BlockMatrix.from_dense(_product((self.alpha0, self.w), (self.diag,), k), k)
 
 
 def conjugate(

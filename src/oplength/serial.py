@@ -69,9 +69,23 @@ def _complex_list_json(arrays) -> str:
     return "[" + ", ".join([_complex_json(a) for a in arrays]) + "]"
 
 
+def _document(text: str, lists) -> dict:
+    """The JSON object in ``text``; each field named in ``lists`` must be a list."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    for name in lists:
+        if not isinstance(doc[name], list):
+            raise ValueError(f"{name}: expected a list")
+    return doc
+
+
 def _decode_complex(data, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != 2:
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):  # a non-number, or ragged nesting
+        arr = None
+    if arr is None or arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError(f"{name}: complex arrays must be nested lists of [re, im] pairs")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite entries in {name}")
@@ -88,7 +102,7 @@ def instance_to_json(x: BlockMatrix) -> str:
 
 
 def instance_from_json(text: str) -> BlockMatrix:
-    doc = json.loads(text)
+    doc = _document(text, ("blocks",))
     blocks = _decode_complex(doc["blocks"], "blocks")
     if blocks.shape != (doc["n"], doc["n"], doc["k"], doc["k"]):
         raise ValueError(
@@ -109,7 +123,7 @@ def certificate_to_json(cert: FactorizationCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> FactorizationCertificate:
-    doc = json.loads(text)
+    doc = _document(text, ("widths", "alphas", "diags"))
     alphas = tuple(_decode_complex(a, f"alphas[{i}]") for i, a in enumerate(doc["alphas"]))
     diags = tuple(
         DiagonalMatrix(_decode_complex(D, f"diags[{i}]")) for i, D in enumerate(doc["diags"])

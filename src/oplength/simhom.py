@@ -47,6 +47,8 @@ class SimilarityHom:
             raise ValueError("xi is singular or numerically singular")
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "_xi_inv", np.linalg.inv(xi))
+        # || |xi^-1| |x| |xi| || <= _abs_scale ||x||_F, for cb_lower_bound's margin
+        object.__setattr__(self, "_abs_scale", np.linalg.norm(self._xi_inv) * np.linalg.norm(xi))
 
     @property
     def k(self) -> int:
@@ -75,6 +77,8 @@ class InnerDerivation:
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise ValueError("T must be square")
         object.__setattr__(self, "T", T)
+        # || |x| |T| + |T| |x| || <= _abs_scale ||x||_F, for cb_lower_bound's margin
+        object.__setattr__(self, "_abs_scale", 2 * np.linalg.norm(T))
 
     @property
     def k(self) -> int:
@@ -127,12 +131,22 @@ def cb_lower_bound(op, level: int, restarts: int = 50, seed: int = 0) -> CbLower
     the next, so the bound is nondecreasing in the level by
     construction.  Deterministic for a fixed seed; restarts use
     independent per-(level, restart) substreams.
+
+    A level's value v, the computed top singular value of Y' = fl(op(X))
+    for an iterate X of order N = m k, is rounded down to hold exactly
+    (u = 2**-53, g = 1 + 4Nu, s = ``op._abs_scale``).  Each block of Y'
+    takes at most two complex k x k products, each within sqrt(2)
+    gamma_{k+2} |L| |X| |R|, so ||Y' - op(X)|| <= 5 (k + 2) u s sqrt(N) ||X||;
+    LAPACK's SVD is backward stable, taken as ||Y'|| >= v / g; an iterate
+    is a normalized start or a product of two computed unitaries, so
+    ||X|| <= g.  Hence ||op_m|| >= (v / g - 5 (k + 2) u s sqrt(N) g) / g,
+    times 1 - 8u for the roundings of that expression.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    k = op.k
+    k, u = op.k, np.finfo(float).eps / 2
     best_val, best_X, best_level = 0.0, None, 1
     carried = None
     for m in range(1, level + 1):
@@ -151,6 +165,9 @@ def cb_lower_bound(op, level: int, restarts: int = 50, seed: int = 0) -> CbLower
             if val > level_best:
                 level_best, level_X = val, X
         carried = level_X
+        g = 1 + 4 * m * k * u
+        level_best = (level_best / g - 5 * (k + 2) * u * op._abs_scale * np.sqrt(m * k) * g) / g
+        level_best *= 1 - 8 * u
         if level_best > best_val:
             best_val, best_X, best_level = level_best, level_X, m
     if best_X is None:

@@ -26,6 +26,7 @@ from oplength import (
     verify,
 )
 from oplength.blocks import block_diag, scalar_norm
+from oplength.certs import rebalance
 
 from conftest import random_block, random_certificate
 
@@ -70,6 +71,16 @@ class TestEvaluateAndCost:
         for _ in range(10):
             cert = random_certificate(rng)
             assert cost(cert) >= operator_norm(evaluate(cert)) - 1e-9
+
+    @pytest.mark.parametrize("m,N,n,k", [(1, 1, 1, 1), (2, 3, 4, 2), (3, 9, 9, 3), (4, 2, 5, 4)])
+    def test_row_block_matrix_matches_dense_product(self, m, N, n, k):
+        rng = np.random.default_rng(m * 1000 + N * 100 + n * 10 + k)
+        a0, w = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((m, N), (N, n)))
+        entries = random_block(rng, 1, N, k).blocks[0]
+        row = RowDecomposition(a0, DiagonalMatrix(entries), w)
+        eye = np.eye(k)
+        dense = np.kron(a0, eye) @ block_diag(entries) @ np.kron(w, eye)
+        assert np.abs(row.as_block_matrix().dense() - dense).max() <= 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
         cert = random_certificate(rng)
@@ -272,6 +283,28 @@ class TestConjugate:
 
 
 class TestRebalanceHelpers:
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 3),
+           scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_rebalance_keeps_value_and_splits_cost(self, seed, d, scale):
+        rng = np.random.default_rng(seed)
+        n, k = (int(v) for v in rng.integers(1, 4, size=2))
+        cert = random_certificate(rng, n=n, k=k, d=d,
+                                  widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
+        i = seed % d
+        diags = cert.diags[:i] + (cert.diags[i].scaled(scale),) + cert.diags[i + 1:]
+        cert = FactorizationCertificate(cert.alphas, diags)
+        out = rebalance(cert)
+        c = cost(cert)
+        assert np.abs(evaluate(out).dense() - evaluate(cert).dense()).max() <= 1e-12 * max(1.0, c)
+        for f in out.alphas[1:-1]:
+            assert scalar_norm(f) <= 1 + 1e-12
+        for D in out.diags:
+            assert D.norm() <= 1 + 1e-12
+        a0, ad = scalar_norm(out.alphas[0]), scalar_norm(out.alphas[-1])
+        assert abs(a0 - ad) <= 1e-12 * max(1.0, a0)
+        assert abs(cost(out) - c) <= 1e-12 * max(1.0, c)
+
     def test_pad_to(self, rng):
         cert = random_certificate(rng, d=1, widths=(4,))
         deep = pad_to(cert, 4)

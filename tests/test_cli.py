@@ -236,6 +236,32 @@ class TestCli:
         ]) == 2
         assert "diags[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, target, malform, named", [
+        ("verify", "cert", lambda doc: {**doc, "alphas": 5}, "alphas: expected a list"),
+        ("verify", "cert", lambda doc: {**doc, "widths": None}, "widths: expected a list"),
+        ("verify", "cert", lambda doc: {**doc, "alphas": [doc["alphas"][0], {}]}, "alphas[1]: "),
+        ("verify", "cert", lambda doc: {**doc, "alphas": [[[1.0, 0.0]], doc["alphas"][1]]},
+         "scalar factors must be matrices"),
+        ("verify", "cert", lambda doc: [doc], "expected a JSON object"),
+        ("verify", "inst", lambda doc: {**doc, "blocks": {}}, "blocks: expected a list"),
+        ("factor", "inst", lambda doc: {**doc, "blocks": [[[[[1.0, 0.0]]]], [1.0]]}, "blocks: "),
+        ("factor", "inst", lambda doc: [doc], "expected a JSON object"),
+    ], ids=["alphas-number", "widths-null", "alpha-object", "alpha-vector", "cert-list",
+            "blocks-object", "blocks-ragged", "instance-list"])
+    def test_malformed_file_is_usage_error_naming_the_field(self, tmp_path, capsys, command,
+                                                            target, malform, named):
+        inst = self.run_gen(tmp_path)
+        cert = tmp_path / "cert.json"
+        main(["factor", "--instance", str(inst), "--construction", "length1",
+              "--out", str(cert)])
+        path = cert if target == "cert" else inst
+        path.write_text(json.dumps(malform(json.loads(path.read_text()))))
+        capsys.readouterr()
+        argv = {"verify": ["verify", "--instance", str(inst), "--certificate", str(cert)],
+                "factor": ["factor", "--instance", str(inst), "--construction", "length1"]}
+        assert main(argv[command]) == 2
+        assert named in capsys.readouterr().err
+
     def test_tampered_diagonal_fails(self, tmp_path):
         inst = self.run_gen(tmp_path)
         cert = tmp_path / "cert.json"

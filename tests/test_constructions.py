@@ -47,6 +47,16 @@ def compressed(p, x, q):
     return BlockMatrix(np.einsum("ab,ijbc,cd->ijad", p, x.blocks, q))
 
 
+def family_residual(fam):
+    """The largest violation of the four family relations, block by block."""
+    delta = np.eye(fam.n)
+    ab = np.einsum("iab,jbc->ijac", fam.a, fam.b) - np.einsum("ij,ac->ijac", delta, fam.p)
+    cd = np.einsum("iab,jbc->ijac", fam.c, fam.d) - np.einsum("ij,ac->ijac", delta, fam.q)
+    rows = operator_norm(np.einsum("iab,icb->ac", fam.b, fam.b.conj())) - 1
+    cols = operator_norm(np.einsum("iba,ibc->ac", fam.c.conj(), fam.c)) - 1
+    return max(np.abs(ab).max(), np.abs(cd).max(), rows, cols)
+
+
 class TestUniversalDepth1:
     def test_n1(self, rng):
         x = random_block(rng, 1, 1, 3)
@@ -122,11 +132,13 @@ class TestMatrixUnitFamily:
     def test_n1_trivial(self):
         fam = matrix_unit_family(3, 1, 1, 1)
         np.testing.assert_allclose(fam.p, np.eye(3))
-        fam.validate(1e-14)
+        fam.validate()
+        assert family_residual(fam) <= 1e-14
 
     def test_relations_exact(self):
         fam = matrix_unit_family(2, 3, 1, 1)
-        fam.validate(1e-14)
+        fam.validate()
+        assert family_residual(fam) <= 1e-14
 
     def test_row_sum_is_unital(self):
         fam = matrix_unit_family(2, 3, 2, 3)
@@ -185,14 +197,17 @@ class TestFamilyValidate:
 
     @pytest.mark.parametrize("n,r,s", [(1, 1, 1), (3, 1, 1), (3, 2, 3), (3, 3, 1), (4, 4, 4)])
     def test_accepts_matrix_unit_corners(self, n, r, s):
-        matrix_unit_family(2, n, r, s).validate(1e-14)
+        fam = matrix_unit_family(2, n, r, s)
+        fam.validate()
+        assert family_residual(fam) <= 1e-14
 
     @pytest.mark.parametrize("n,k,seed", [(2, 4, 0), (3, 12, 1), (4, 16, 2)])
     def test_accepts_haar_rotated_projection_families(self, n, k, seed):
         P = haar_rotated_partition(n, k, seed)
-        family_from_projections(P[0], P[-1], n).validate(1e-14)
-        fam = family_from_projections(P[0], P[0].copy(), n)
-        fam.validate(1e-14)
+        for q in (P[-1], P[0].copy()):
+            fam = family_from_projections(P[0], q, n)
+            fam.validate()
+            assert family_residual(fam) <= 1e-14
         # q with p's bytes reuses p's isometries, which equal q's own
         assert fam.d.tobytes() == projection_isometries(P[0], n).tobytes()
         assert fam.d is not fam.b
@@ -352,21 +367,16 @@ class TestPinchCertificate:
                 DiagonalMatrix(random_block(rng, 1, w, k).blocks[0]) for w in widths[1:-1]
             )
             c = FactorizationCertificate(alphas, diags)
-            inners.append(c.scaled(rng.uniform(0.1, 1.0) / cost(c)))
+            # inner costs up to 100: the bound needs no cost <= 1
+            inners.append(c.scaled(rng.uniform(0.1, 100.0) / cost(c)))
         out = pinch_certificate(inners, ProjectionPartition(P))
         expected = sum(
             np.einsum("ab,ijbc,cd->ijad", P[m], evaluate(c).blocks, P[m])
             for m, c in enumerate(inners)
         )
-        assert np.abs(evaluate(out).blocks - expected).max() <= 1e-10
-        assert cost(out) <= max(cost(c) for c in inners) * (1 + 1e-9)
-
-    def test_cost_precondition_enforced(self, rng):
-        n, k = 2, 4
-        part = diagonal_partition(n, k)
-        big = universal_depth1(random_block(rng, n, n, k) * 100.0)
-        with pytest.raises(ValueError):
-            pinch_certificate([big, big], part)
+        largest = max(cost(c) for c in inners)
+        assert np.abs(evaluate(out).blocks - expected).max() <= 1e-10 * max(1.0, largest)
+        assert cost(out) <= largest * (1 + 1e-9)
 
     def test_inner_scalars_must_agree(self):
         # each inner has cost 1, but summing them would give cost 100 for a value of norm 1
@@ -478,8 +488,33 @@ class TestProjectionPartition:
         P = np.zeros((2, 4, 4), dtype=complex)
         P[0, 0, 0] = 1
         P[1, 1, 1] = 1
-        with pytest.raises(FamilyRelationError):
+        with pytest.raises(FamilyRelationError, match=re.escape("element 0 has trace != 1/n")):
             ProjectionPartition(P).validate()
+
+    def test_rejects_non_hermitian_element(self):
+        # p_1 + eps e_20 is an idempotent with p_0 p_1' = 0 and the right trace
+        P = diagonal_partition(2, 4).projections.copy()
+        P[1, 2, 0] = 1e-6
+        with pytest.raises(FamilyRelationError, match="partition element 1 is not a projection"):
+            ProjectionPartition(P).validate()
+
+    def test_rejects_non_idempotent_element(self):
+        # Hermitian, orthogonal to p_1 and of trace 1/2, but diag(1.5, 0.5) is no projection
+        P = diagonal_partition(2, 4).projections.copy()
+        P[0, 0, 0], P[0, 1, 1] = 1.5, 0.5
+        with pytest.raises(FamilyRelationError, match="partition element 0 is not a projection"):
+            ProjectionPartition(P).validate()
+
+    def test_rejects_non_orthogonal_pair(self):
+        # three rank-one projections of trace 1/3; the last overlaps the second
+        v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
+        P = np.stack([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.outer(v, v)]).astype(complex)
+        with pytest.raises(FamilyRelationError, match="elements 1, 2 are not orthogonal"):
+            ProjectionPartition(P).validate()
+
+    @pytest.mark.parametrize("n,k,seed", [(1, 3, 0), (2, 4, 0), (3, 12, 1), (4, 16, 2)])
+    def test_accepts_haar_rotated_partitions(self, n, k, seed):
+        ProjectionPartition(haar_rotated_partition(n, k, seed)).validate()
 
     def test_indivisible_order(self):
         with pytest.raises(Exception):

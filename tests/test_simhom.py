@@ -139,6 +139,14 @@ class TestSimilarityCheck:
         assert r["consistent"] and r["tight"]
         assert r["oracle"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spec, level", [((10.0, 1.0, 1.0), 3), ((4.0, 2.0, 1.0), 2)])
+    def test_lower_never_exceeds_exact_oracle(self, spec, level, seed):
+        # the oracles 10 and 4 are exact; the ascent's raw values reach 10.000000000000007
+        r = similarity_cb_check(np.diag(spec), level=level, seed=seed)
+        assert r["lower"] <= r["oracle"]
+        assert r["tight"]
+
     def test_nontrivial_conjugated_xi(self, rng):
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         q, _ = np.linalg.qr(g)
