@@ -176,7 +176,16 @@ class DiagonalMatrix:
         return DiagonalMatrix(self.entries.conj().transpose(0, 2, 1))
 
     def scaled(self, c: complex) -> "DiagonalMatrix":
-        return DiagonalMatrix(self.entries * c)
+        """c times this diagonal; for c == 1 this very object, its norm kept."""
+        return self if c == 1 else DiagonalMatrix(self.entries * c)
+
+    @classmethod
+    def _concatenate(cls, parts) -> "DiagonalMatrix":
+        """The parts' entries in order, with the max of their norms when all are known (exact)."""
+        out = cls(np.concatenate([D.entries for D in parts]))
+        if all("_norm" in D.__dict__ for D in parts):
+            out.__dict__["_norm"] = max(D._norm for D in parts)
+        return out
 
 
 def block_diag(mats) -> np.ndarray:

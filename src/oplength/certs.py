@@ -11,7 +11,8 @@ witness upper bounds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import hashlib
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,14 +53,17 @@ class FactorizationCertificate:
     ``alphas`` holds d+1 scalar matrices with shapes chaining as
     n x N_1, N_1 x N_2, ..., N_d x n; ``diags`` holds d block-diagonal
     factors, the i-th of size N_i.  ``widths`` is computed from the
-    factor shapes, so uniformity checks can compare it as data.
+    factor shapes, so uniformity checks can compare it as data.  Scalar
+    factors are copied read-only, like diagonal entries, so :func:`verify`
+    can keep its results on the certificate.
     """
 
     alphas: tuple  # d+1 scalar ndarrays
     diags: tuple   # d DiagonalMatrix
+    _verified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        alphas = tuple(np.asarray(a, dtype=np.complex128) for a in self.alphas)
+        alphas = tuple(np.array(a, dtype=np.complex128) for a in self.alphas)
         diags = tuple(self.diags)
         if any(a.ndim != 2 for a in alphas):
             raise ShapeMismatchError("scalar factors must be matrices")
@@ -79,6 +83,8 @@ class FactorizationCertificate:
             raise ShapeMismatchError("outer shape is not square")
         if alphas[0].shape[0] == 0:
             raise ShapeMismatchError("zero outer width")
+        for a in alphas:
+            a.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "diags", diags)
 
@@ -106,6 +112,11 @@ class FactorizationCertificate:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """:func:`verify`'s verdict; ``recon_error`` bounds ||evaluate(cert) - x|| in floating point.
+
+    ``passed``: recon_error <= tol * max(1, lower), lower = ||x||, and the cost is finite.
+    """
+
     recon_error: float
     cost: float
     lower: float
@@ -152,17 +163,33 @@ def cost(cert: FactorizationCertificate) -> float:
 def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) -> VerificationReport:
     """Check that the certificate reproduces x within tol (relative to max(1, ||x||)).
 
-    A certificate whose cost is not finite certifies no bound and fails.
+    It passes on a bound of ||V - X||, V = evaluate(cert), not on an SVD:
+    fl(r g) for the computed Frobenius norm r of fl(V - X), g = fl(1 + (2N + 8)u),
+    u = 2**-53, N = 2(nk)**2 real components.  Each component is one rounded
+    subtraction (a factor 1/(1 - u) on the norm), the N squares summed in
+    any order lose at most a factor 1 - gamma_N = 1 - Nu/(1 - Nu), the
+    square root 1 - u; so ||V - X|| <= r/((1 - u)**2 sqrt(1 - gamma_N)) <=
+    r(1 + (2N + 4)u) for Nu <= 1/6, below fl(r g) as g >= 1 + (2N + 7)u.
+    (Squares of components under 2**-511 may underflow: an absolute error
+    below sqrt(N) 2**-537, seen only by a tol under 1e-150.)
+
+    The bound, the cost and ||x|| are kept on the certificate under x's
+    shape and blake2b digest, so a repeat costs one hash; tol only enters
+    the verdict.  A non-finite cost fails; ValueError unless 0 <= tol < inf.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if x.m != x.n or cert.n != x.n or cert.k != x.k:
         raise ShapeMismatchError(
             f"certificate shape ({cert.n}, k={cert.k}) does not match "
             f"target ({x.m}x{x.n}, k={x.k})"
         )
-    val = evaluate(cert)
-    recon = operator_norm(val - x)
-    c = cost(cert)
-    lower = operator_norm(x)
+    key = (x.blocks.shape, hashlib.blake2b(np.ascontiguousarray(x.blocks)).digest())
+    if key not in cert._verified:
+        r = np.ravel(evaluate(cert).blocks - x.blocks).view(np.float64)
+        g = 1 + (2 * r.size + 8) * (np.finfo(float).eps / 2)
+        cert._verified[key] = (float(np.sqrt(r @ r)) * g, cost(cert), operator_norm(x))
+    recon, c, lower = cert._verified[key]
     ratio = 0.0 if c == 0.0 else c / max(lower, np.finfo(float).tiny)
     return VerificationReport(
         recon_error=recon,
@@ -244,16 +271,15 @@ def direct_sum(certs) -> FactorizationCertificate:
     """Certificate for the block-diagonal sum of the values of ``certs``.
 
     Scalar factors are placed block-diagonally and diagonal factors
-    concatenated, so each factor norm is the largest among the summands.
+    concatenated, so each factor norm is the largest among the summands
+    (taken from them when all are known).
     """
     certs = list(certs)
     d, k = certs[0].d, certs[0].k
     if any(c.d != d or c.k != k for c in certs):
         raise ShapeMismatchError("direct summands must share depth and block order")
     alphas = tuple(block_diag([c.alphas[i] for c in certs]) for i in range(d + 1))
-    diags = tuple(
-        DiagonalMatrix(np.concatenate([c.diags[i].entries for c in certs])) for i in range(d)
-    )
+    diags = tuple(DiagonalMatrix._concatenate([c.diags[i] for c in certs]) for i in range(d))
     return FactorizationCertificate(alphas, diags)
 
 

@@ -193,6 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0 <= getattr(args, "tol", 0.0) < np.inf:
+            raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
         return args.func(args)
     except (OSError, ValueError, ShapeMismatchError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

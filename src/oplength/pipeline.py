@@ -197,6 +197,8 @@ class _Construction:
     needs_divisible: bool = False
 
     def applicable(self, n: int, k: int) -> bool:
+        if n < 1 or k < 1:
+            raise ValueError("n and k must be positive")
         return not self.needs_divisible or k % n == 0
 
 

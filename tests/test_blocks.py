@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from oplength import (
     BlockMatrix,
     DiagonalMatrix,
+    FactorizationCertificate,
     HermitianError,
     ShapeMismatchError,
     block_l2,
+    direct_sum,
     fourier_unitary,
     hermitian_spectral,
     normalized_trace,
@@ -248,3 +250,28 @@ class TestDiagonalNorm:
         assert batches == [6]
         assert D.norm() == first
         assert batches == [6]
+
+    @pytest.mark.parametrize("k", [3, 16])
+    @pytest.mark.parametrize("known", [True, False])
+    def test_direct_sum_takes_its_norms_from_the_parts(self, k, known, rng, monkeypatch):
+        parts = [_repeated_diagonal(case, k, rng) for case in ("repeat", "unit", "adjoint",
+                                                                "signed_zero")]
+        parts.append(DiagonalMatrix(np.full((2, k, k), -0.0, dtype=complex)))
+        if known:
+            for D in parts:
+                D.norm()
+        certs = [FactorizationCertificate((np.ones((1, D.size)), np.ones((D.size, 1))), (D,))
+                 for D in parts]
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        summed = direct_sum(certs).diags[0]
+        got = summed.norm()
+        assert len(calls) == (0 if known else 1)
+        expected = DiagonalMatrix(summed.entries).norm()
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_scaled_by_one_is_the_same_object(self, rng):
+        D = _repeated_diagonal("repeat", 3, rng)
+        assert D.scaled(1.0) is D and D.scaled(1) is D
+        assert D.scaled(2.0) is not D

@@ -25,6 +25,7 @@ from oplength import (
     universal_depth1,
     verify,
 )
+from oplength import certs
 from oplength.blocks import block_diag, scalar_norm
 from oplength.certs import rebalance
 
@@ -201,6 +202,52 @@ class TestVerify:
         y = random_block(rng, 4, 4, 2)
         with pytest.raises(ShapeMismatchError):
             verify(universal_depth1(x), y)
+
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 3), near=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_recon_error_bounds_the_residual_norm(self, seed, d, near):
+        rng = np.random.default_rng(seed)
+        n, k = (int(v) for v in rng.integers(1, 4, size=2))
+        cert = random_certificate(rng, n=n, k=k, d=d,
+                                  widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
+        x = random_block(rng, n, n, k)
+        if near:
+            x = evaluate(cert) + x * 1e-13
+        sigma = np.linalg.norm((evaluate(cert) - x).dense(), 2)
+        recon = verify(cert, x).recon_error
+        assert sigma <= recon <= np.sqrt(n * k) * sigma * (1 + 1e-12)
+
+    def test_same_target_bytes_are_verified_once(self, rng, monkeypatch):
+        cert = random_certificate(rng, n=2, k=3)
+        x = random_block(rng, 2, 2, 3)
+        calls = []
+        monkeypatch.setattr(certs, "evaluate", lambda c: calls.append(c) or evaluate(c))
+        first = verify(cert, x)
+        assert verify(cert, BlockMatrix(x.blocks.copy())) == first
+        assert len(calls) == 1
+        strict = verify(cert, x, 0.0)
+        assert (strict.recon_error, strict.cost, strict.lower) == (
+            first.recon_error, first.cost, first.lower)
+        assert strict.tol == 0.0 and not strict.passed
+        y = evaluate(cert)
+        other = verify(cert, y)
+        assert len(calls) == 2 and other.passed and other != first
+        assert other == verify(FactorizationCertificate(cert.alphas, cert.diags), y)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-9])
+    def test_tol_must_be_finite_and_non_negative(self, rng, tol):
+        x = random_block(rng, 2, 2, 2)
+        with pytest.raises(ValueError, match="tol"):
+            verify(universal_depth1(x), x, tol)
+
+    def test_scalar_factors_are_read_only_copies(self):
+        alphas = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+        cert = FactorizationCertificate(tuple(alphas), (DiagonalMatrix.unit(2, 2),))
+        alphas[0][0, 0] = 5.0
+        assert cert.alphas[0][0, 0] == 1.0
+        for a in cert.alphas:
+            with pytest.raises(ValueError):
+                a[0, 0] = 2.0
 
 
 class TestPad:

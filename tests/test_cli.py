@@ -18,6 +18,7 @@ from oplength import (
     random_instance,
     universal_depth1,
 )
+from oplength import certs, pipeline
 from oplength.cli import main
 from oplength.serial import (
     _complex_json,
@@ -353,6 +354,35 @@ class TestCli:
         ]) == 0
         doc = json.loads(capsys.readouterr().out.strip())
         assert doc["stable"]
+
+    @pytest.mark.parametrize("command", ["factor", "verify", "bench"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, command, tol):
+        inst = self.run_gen(tmp_path)
+        cert = tmp_path / "cert.json"
+        main(["factor", "--instance", str(inst), "--construction", "length1", "--out", str(cert)])
+        capsys.readouterr()
+        argv = {"factor": ["factor", "--instance", str(inst), "--construction", "length1"],
+                "verify": ["verify", "--instance", str(inst), "--certificate", str(cert)],
+                "bench": ["bench", "--n-range", "2", "--trials", "1"]}[command]
+        assert main(argv + [f"--tol={tol}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--tol" in out.err
+
+    @pytest.mark.parametrize("construction", ["t13", "lemma5", "length1"])
+    def test_zero_n_is_usage_error(self, capsys, construction):
+        assert main(["uniformity", "--construction", construction, "--n", "0", "--k", "4"]) == 2
+        assert main(["bench", "--n-range", "0", "--k", "4", "--constructions", construction]) == 2
+        assert capsys.readouterr().err.count("n and k must be positive") == 2
+
+    def test_factor_t13_evaluates_once(self, tmp_path, monkeypatch):
+        inst = self.run_gen(tmp_path, n=2, k=4)
+        calls = []
+        original = certs.evaluate
+        for mod in (certs, pipeline):
+            monkeypatch.setattr(mod, "evaluate", lambda c: calls.append(c) or original(c))
+        assert main(["factor", "--instance", str(inst), "--construction", "t13"]) == 0
+        assert len(calls) == 1
 
     def test_uniformity_inapplicable_usage_error(self):
         assert main([
