@@ -83,24 +83,10 @@ class BlockMatrix:
         blocks = dense.reshape(m, k, n, k).transpose(0, 2, 1, 3)
         return cls(blocks)
 
-    @classmethod
-    def zeros(cls, m: int, n: int, k: int) -> "BlockMatrix":
-        return cls(np.zeros((m, n, k, k), dtype=np.complex128))
-
-    @classmethod
-    def identity(cls, n: int, k: int) -> "BlockMatrix":
-        return cls.from_dense(np.eye(n * k, dtype=np.complex128), k)
-
     def dense(self) -> np.ndarray:
         """The inflated (m*k, n*k) complex matrix."""
         m, n, k, _ = self.blocks.shape
         return self.blocks.transpose(0, 2, 1, 3).reshape(m * k, n * k)
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[i, j]
-
-    def adjoint(self) -> "BlockMatrix":
-        return BlockMatrix(self.blocks.conj().transpose(1, 0, 3, 2))
 
     def _matching(self, other: "BlockMatrix") -> np.ndarray:
         # numpy would broadcast mismatched shapes instead of failing
@@ -120,11 +106,6 @@ class BlockMatrix:
         return BlockMatrix(self.blocks * c)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
-        if self.n != other.m or self.k != other.k:
-            raise ShapeMismatchError("block shapes do not chain")
-        return BlockMatrix(np.einsum("ipab,pjbc->ijac", self.blocks, other.blocks))
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
 
 
 def cost(cert: FactorizationCertificate) -> float:
-    """Product of factor norms, always recomputed from the factors."""
+    """Product of factor norms: scalar norms recomputed, diagonal norms kept on each diagonal."""
     c = 1.0
     for a in cert.alphas:
         c *= scalar_norm(a)
@@ -327,35 +327,26 @@ class RowDecomposition:
         object.__setattr__(self, "alpha0", a0)
         object.__setattr__(self, "w", w)
 
-    @classmethod
-    def identity(cls, n: int, k: int) -> "RowDecomposition":
-        eye = np.eye(n, dtype=np.complex128)
-        return cls(eye, DiagonalMatrix.unit(n, k), eye)
-
     def as_block_matrix(self) -> BlockMatrix:
         k = self.diag.k
         return BlockMatrix.from_dense(_product((self.alpha0, self.w), (self.diag,), k), k)
 
 
-def conjugate(
-    left: RowDecomposition,
-    inner: FactorizationCertificate,
-    right: RowDecomposition,
-) -> FactorizationCertificate:
-    """Certificate of depth d+2 for L * evaluate(inner) * R^* .
+def conjugate(row: RowDecomposition, inner: FactorizationCertificate) -> FactorizationCertificate:
+    """Certificate of depth d+2 for L * evaluate(inner) * L^*, L the block row of ``row``.
 
-    L and R are the block rows of the two decompositions.  The trailing
-    scalar of each decomposition is merged into the adjacent scalar of
-    the inner certificate, so only two new diagonal factors appear.
+    The trailing scalar w of the decomposition is merged into the
+    adjacent scalar of the inner certificate on each side, so only two
+    new diagonal factors appear.
     """
-    if left.w.shape[1] != inner.n or right.w.shape[1] != inner.n:
-        raise ShapeMismatchError("decompositions do not chain with inner certificate")
-    if left.diag.k != inner.k or right.diag.k != inner.k:
+    if row.w.shape[1] != inner.n:
+        raise ShapeMismatchError("decomposition does not chain with inner certificate")
+    if row.diag.k != inner.k:
         raise ShapeMismatchError("block order mismatch")
     alphas = (
-        (left.alpha0, left.w @ inner.alphas[0])
+        (row.alpha0, row.w @ inner.alphas[0])
         + inner.alphas[1:-1]
-        + (inner.alphas[-1] @ right.w.conj().T, right.alpha0.conj().T)
+        + (inner.alphas[-1] @ row.w.conj().T, row.alpha0.conj().T)
     )
-    diags = (left.diag,) + inner.diags + (right.diag.adjoint(),)
+    diags = (row.diag,) + inner.diags + (row.diag.adjoint(),)
     return FactorizationCertificate(alphas, diags)

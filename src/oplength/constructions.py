@@ -326,8 +326,7 @@ def pinch_certificate(inner_certs, part: ProjectionPartition):
             raise ShapeMismatchError("inner certificates must share depth and shape")
         _check_same_scalars(c, inner_certs[0], f"between inner certificates 0 and {m}")
     dsum = direct_sum(rebalance_diags(c) for c in inner_certs)
-    row = partition_row_decomposition(part)
-    return conjugate(row, dsum, row)
+    return conjugate(partition_row_decomposition(part), dsum)
 
 
 def pinch_assembly(x: BlockMatrix, part: ProjectionPartition, inner):
@@ -335,6 +334,8 @@ def pinch_assembly(x: BlockMatrix, part: ProjectionPartition, inner):
 
     ``inner(xs, m)`` certifies the piece of the normalized input xs for
     partition element m at cost <= 1.  Returns ``(certificate, ||x||)``.
+    The normalization's one purpose is bit-compatibility with ``perfbench/reference.json``:
+    building from x itself changes the bits of the diagonals.
     """
     nrm = operator_norm(x)
     xs = x * (1.0 / nrm) if nrm > 0 else x

@@ -67,6 +67,22 @@ class PipelineReport:
         return out
 
 
+def _report(cert, target: BlockMatrix, epsilon: float, bound: float, slack: float, extra: dict):
+    """The report of cert against target: verify's verdict and cost <= bound + slack."""
+    v = verify(cert, target)
+    return PipelineReport(
+        n=target.n,
+        k=target.k,
+        epsilon=epsilon,
+        depth=cert.d,
+        cost=v.cost,
+        bound=bound,
+        recon_error=v.recon_error,
+        passed=bool(v.passed and v.cost <= bound + slack),
+        extra=extra,
+    )
+
+
 def assemble_from_approximant(z: BlockMatrix, near_cert: FactorizationCertificate):
     """Certify z given a certificate for a nearby z' with small L2 defect.
 
@@ -99,19 +115,7 @@ def assemble_from_approximant(z: BlockMatrix, near_cert: FactorizationCertificat
         rem_cert = pad_to(universal_depth1(split.remainder), depth)
         total = add(add(pad_to(near_cert, depth), comp_cert), rem_cert)
     bound = K + 2 + 3 * eps_used * n ** 2.5
-    report_v = verify(total, z)
-    report = PipelineReport(
-        n=n,
-        k=k,
-        epsilon=eps_used,
-        depth=total.d,
-        cost=report_v.cost,
-        bound=bound,
-        recon_error=report_v.recon_error,
-        passed=bool(report_v.passed and report_v.cost <= bound + 1e-6),
-        extra={"K": K, "defect_l2": mass},
-    )
-    return report, total
+    return _report(total, z, eps_used, bound, 1e-6, {"K": K, "defect_l2": mass}), total
 
 
 def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
@@ -138,24 +142,12 @@ def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
         x, part, lambda xs, m: factor_through_family(xs, family_from_projections(P[m], P[m], n))
     )
     eps = block_l2(x - px)
-    report_v = verify(cert, px)
-    extra = {"pinch_invariant": eps == 0.0, "norm": nrm}
+    report = _report(cert, px, eps, nrm * (1 + 1e-9), 1e-12,
+                     {"pinch_invariant": eps == 0.0, "norm": nrm})
     if include_total_bound and nrm > 0:
         total_report, _ = assemble_from_approximant(x * (1.0 / nrm), cert.scaled(1.0 / nrm))
-        extra["total_cost"] = total_report.cost
-        extra["total_bound"] = total_report.bound
-        extra["total_passed"] = total_report.passed
-    report = PipelineReport(
-        n=n,
-        k=k,
-        epsilon=eps,
-        depth=cert.d,
-        cost=report_v.cost,
-        bound=nrm * (1 + 1e-9),
-        recon_error=report_v.recon_error,
-        passed=bool(report_v.passed and report_v.cost <= nrm * (1 + 1e-9) + 1e-12),
-        extra=extra,
-    )
+        report.extra.update(total_cost=total_report.cost, total_bound=total_report.bound,
+                            total_passed=total_report.passed)
     return report, cert
 
 

@@ -5,7 +5,7 @@ computation is a global nonconvex problem.  The estimator is an
 alternating ascent (optimal output pairing via the top singular pair,
 optimal input via the polar factor of the back-propagated pairing) from
 several random restarts; every reported value comes with a stored
-witness input of norm at most 1.
+witness input of norm at most 1 up to rounding.
 
 For a similarity map x -> xi^-1 x xi on M_k the cb norm equals
 ``||xi|| * ||xi^-1||`` and is attained at amplification level k, which
@@ -43,7 +43,9 @@ class SimilarityHom:
         xi = np.asarray(self.xi, dtype=np.complex128)
         if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
             raise ValueError("xi must be square")
-        if np.linalg.cond(xi) > 1e14:
+        if not np.all(np.isfinite(xi)):
+            raise ValueError("xi has non-finite entries")
+        if not np.linalg.cond(xi) <= 1e14:  # a NaN condition number fails too
             raise ValueError("xi is singular or numerically singular")
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "_xi_inv", np.linalg.inv(xi))
@@ -76,6 +78,8 @@ class InnerDerivation:
         T = np.asarray(self.T, dtype=np.complex128)
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise ValueError("T must be square")
+        if not np.all(np.isfinite(T)):
+            raise ValueError("T has non-finite entries")
         object.__setattr__(self, "T", T)
         # || |x| |T| + |T| |x| || <= _abs_scale ||x||_F, for cb_lower_bound's margin
         object.__setattr__(self, "_abs_scale", 2 * np.linalg.norm(T))
@@ -94,7 +98,7 @@ class InnerDerivation:
 @dataclass(frozen=True)
 class CbLowerBound:
     value: float
-    witness: np.ndarray  # input of norm <= 1 at the witness level
+    witness: np.ndarray  # input at `level`, norm <= 1 + 4Nu (N = level * k) as the margin allows
     level: int
 
 

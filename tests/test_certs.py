@@ -37,13 +37,13 @@ class TestEvaluateAndCost:
         n, k = 3, 2
         x = random_block(rng, n, n, k)
         eye = np.eye(n, dtype=complex)
-        diag_entries = np.stack([x.entry(i, i) for i in range(n)])
+        diag_entries = np.stack([x.blocks[i, i] for i in range(n)])
         cert = FactorizationCertificate((eye, eye), (DiagonalMatrix(diag_entries),))
         val = evaluate(cert)
         for i in range(n):
             for j in range(n):
-                expected = x.entry(i, i) if i == j else np.zeros((k, k))
-                np.testing.assert_allclose(val.entry(i, j), expected, atol=1e-14)
+                expected = x.blocks[i, i] if i == j else np.zeros((k, k))
+                np.testing.assert_allclose(val.blocks[i, j], expected, atol=1e-14)
 
     def test_construction_round_trip(self, rng):
         x = random_block(rng, 4, 4, 3)
@@ -148,20 +148,17 @@ class TestAlgebraProperties:
         n, k, m = (int(v) for v in rng.integers(1, 4, size=3))
         inner = random_certificate(rng, n=n, k=k, d=d,
                                    widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
-
-        def row():
-            N = int(rng.integers(1, 5))
-            a0, w = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((m, N), (N, n)))
-            return RowDecomposition(a0, DiagonalMatrix(random_block(rng, 1, N, k).blocks[0]), w)
-
-        left, right = row(), row()
-        out = conjugate(left, inner, right)
-        bound = cost(inner)
-        for r in (left, right):
-            bound *= scalar_norm(r.alpha0) * r.diag.norm() * scalar_norm(r.w)
-        expected = left.as_block_matrix() @ evaluate(inner) @ right.as_block_matrix().adjoint()
+        N = int(rng.integers(1, 5))
+        a0, w = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((m, N), (N, n)))
+        entries = random_block(rng, 1, N, k).blocks[0]
+        row = RowDecomposition(a0, DiagonalMatrix(entries), w)
+        out = conjugate(row, inner)
+        eye = np.eye(k)
+        L = np.kron(a0, eye) @ block_diag(entries) @ np.kron(w, eye)
+        expected = L @ evaluate(inner).dense() @ L.conj().T
+        bound = cost(inner) * (scalar_norm(a0) * row.diag.norm() * scalar_norm(w)) ** 2
         assert out.d == d + 2
-        assert np.abs(evaluate(out).dense() - expected.dense()).max() <= 1e-10 * max(1.0, bound)
+        assert np.abs(evaluate(out).dense() - expected).max() <= 1e-10 * max(1.0, bound)
         assert cost(out) <= bound * (1 + 1e-9)
 
     @given(
@@ -187,12 +184,12 @@ class TestVerify:
     def test_perturbed_target_fails(self, rng):
         x = random_block(rng, 3, 3, 2)
         cert = universal_depth1(x)
-        report = verify(cert, x + BlockMatrix.identity(3, 2), 1e-9)
+        report = verify(cert, x + BlockMatrix.from_dense(np.eye(6), 2), 1e-9)
         assert not report.passed
         assert report.recon_error >= 1 - 1e-9
 
     def test_zero_matrix_zero_certificate(self):
-        x = BlockMatrix.zeros(2, 2, 2)
+        x = BlockMatrix(np.zeros((2, 2, 2, 2)))
         report = verify(universal_depth1(x), x, 1e-9)
         assert report.passed
         assert report.ratio == 0.0
@@ -272,7 +269,7 @@ class TestAdd:
     def test_add_zero(self, rng):
         x = random_block(rng, 2, 2, 2)
         cu = universal_depth1(x)
-        cz = universal_depth1(BlockMatrix.zeros(2, 2, 2))
+        cz = universal_depth1(BlockMatrix(np.zeros((2, 2, 2, 2))))
         total = add(cu, cz)
         assert operator_norm(evaluate(total) - x) <= 1e-10
 
@@ -300,11 +297,15 @@ class TestAdd:
             add(cu, cv)
 
 
+def _identity_row(n, k):
+    eye = np.eye(n, dtype=complex)
+    return RowDecomposition(eye, DiagonalMatrix.unit(n, k), eye)
+
+
 class TestConjugate:
     def test_identity_decomposition(self, rng):
         inner = random_certificate(rng, n=3, k=2)
-        row = RowDecomposition.identity(3, 2)
-        out = conjugate(row, inner, row)
+        out = conjugate(_identity_row(3, 2), inner)
         assert out.d == inner.d + 2
         assert operator_norm(evaluate(out) - evaluate(inner)) <= 1e-10
 
@@ -313,20 +314,23 @@ class TestConjugate:
         inner = random_certificate(rng, n=n, k=k)
         a0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         diag = DiagonalMatrix(random_block(rng, 1, n, k).blocks[0])
-        w = fourier_unitary(n)
-        left = RowDecomposition(a0, diag, w)
-        right = RowDecomposition.identity(n, k)
-        out = conjugate(left, inner, right)
-        L = left.as_block_matrix()
-        R = right.as_block_matrix()
-        expected = L @ evaluate(inner) @ R.adjoint()
-        assert operator_norm(evaluate(out) - expected) <= 1e-10
+        row = RowDecomposition(a0, diag, fourier_unitary(n))
+        out = conjugate(row, inner)
+        L = row.as_block_matrix().dense()
+        expected = L @ evaluate(inner).dense() @ L.conj().T
+        assert operator_norm(evaluate(out).dense() - expected) <= 1e-10
 
     def test_contractive_decompositions_preserve_cost(self, rng):
         inner = random_certificate(rng, n=2, k=2)
-        row = RowDecomposition.identity(2, 2)
-        out = conjugate(row, inner, row)
+        out = conjugate(_identity_row(2, 2), inner)
         assert cost(out) <= cost(inner) * (1 + 1e-9)
+
+    def test_mismatched_row_rejected(self, rng):
+        inner = random_certificate(rng, n=2, k=2)
+        with pytest.raises(ShapeMismatchError, match="does not chain"):
+            conjugate(_identity_row(3, 2), inner)
+        with pytest.raises(ShapeMismatchError, match="block order"):
+            conjugate(_identity_row(2, 3), inner)
 
 
 class TestRebalanceHelpers:

@@ -347,6 +347,13 @@ class TestCli:
     def test_cb_bad_spec_usage_error(self, capsys):
         assert main(["cb", "--xi-spec", "abc"]) == 2
 
+    @pytest.mark.parametrize("spec", ["nan,1", "1,nan", "1+nanj,1", "inf,1"])
+    def test_cb_non_finite_xi_usage_error_naming_xi(self, capsys, spec):
+        assert main(["cb", "--xi-spec", spec, "--level", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "xi has non-finite entries" in captured.err
+
     def test_uniformity_pass(self, capsys):
         assert main([
             "uniformity", "--construction", "length1", "--n", "2", "--k", "2",

@@ -95,7 +95,7 @@ class TestFactorThroughFamily:
     def test_matrix_unit_family_on_identity(self):
         n, kB = 3, 2
         fam = matrix_unit_family(kB, n, 1, 1)
-        x = BlockMatrix.identity(n, n * kB)
+        x = BlockMatrix.from_dense(np.eye(n * n * kB), n * kB)
         cert = factor_through_family(x, fam)
         expected = compressed(fam.p, x, fam.q)
         assert operator_norm(evaluate(cert) - expected) <= 1e-10
@@ -250,7 +250,7 @@ class TestCornerEmbedding:
 
     def test_identity_corner(self):
         n, kB = 2, 2
-        x = BlockMatrix.identity(n, kB)
+        x = BlockMatrix.from_dense(np.eye(n * kB), kB)
         cert = corner_embedding_certificate(x, 1, 1)
         e11 = np.zeros((n, n), dtype=complex)
         e11[0, 0] = 1
@@ -398,16 +398,16 @@ class TestPinchCertificate:
 
 class TestDiagonalEmbedding:
     def test_zero(self):
-        x = BlockMatrix.zeros(2, 2, 2)
+        x = BlockMatrix(np.zeros((2, 2, 2, 2)))
         cert = diagonal_embedding_certificate(x)
         assert cost(cert) == 0.0
         assert operator_norm(evaluate(cert)) <= 1e-12
 
     def test_identity(self):
-        x = BlockMatrix.identity(2, 2)
+        x = BlockMatrix.from_dense(np.eye(4), 2)
         cert = diagonal_embedding_certificate(x)
         assert cert.d == 5
-        target = BlockMatrix.identity(2, 4)
+        target = BlockMatrix.from_dense(np.eye(8), 4)
         assert operator_norm(evaluate(cert) - target) <= 1e-10
         assert cost(cert) <= 1 + 1e-9
 

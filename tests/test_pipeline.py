@@ -6,6 +6,7 @@ import pytest
 from oplength import (
     BlockMatrix,
     CONSTRUCTIONS,
+    FactorizationCertificate,
     block_l2,
     cost,
     diagonal_partition,
@@ -91,7 +92,7 @@ class TestPinchingPipeline:
         assert verify(cert, x, 1e-9).passed
 
     def test_zero_input(self):
-        x = BlockMatrix.zeros(2, 2, 4)
+        x = BlockMatrix(np.zeros((2, 2, 4, 4)))
         report, cert = pinching_pipeline(x)
         assert report.passed
         assert report.cost == 0.0
@@ -115,6 +116,36 @@ class TestPinchingPipeline:
         assert report.passed and report.extra["pinch_invariant"]
         assert report.extra["total_passed"]
         assert report.extra["total_cost"] <= report.extra["total_bound"] + 1e-6
+
+
+def fresh_verify(cert, target):
+    """verify on a copy of cert, so it recomputes rather than reading cert's kept result."""
+    return verify(FactorizationCertificate(cert.alphas, cert.diags), target)
+
+
+class TestReports:
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_pinching_report_is_verify_of_its_certificate(self, noise):
+        x = random_instance(3, 12, 5, "blockdiag", noise=noise)
+        report, cert = pinching_pipeline(x, include_total_bound=True)
+        v = fresh_verify(cert, pinch(x, diagonal_partition(3, 12)))
+        assert (report.n, report.k, report.depth) == (3, 12, cert.d)
+        assert (report.cost, report.recon_error) == (v.cost, v.recon_error)
+        assert report.passed == (v.passed and v.cost <= report.bound + 1e-12)
+        nrm = report.extra["norm"]
+        total, _ = assemble_from_approximant(x * (1.0 / nrm), cert.scaled(1.0 / nrm))
+        assert report.extra["total_cost"] == total.cost
+        assert report.extra["total_bound"] == total.bound
+        assert report.extra["total_passed"] == total.passed
+
+    @pytest.mark.parametrize("defect", [0.0, 0.05])
+    def test_assembly_report_is_verify_of_its_certificate(self, rng, defect):
+        z, near = near_pair(rng, 2, 12, defect)
+        report, cert = assemble_from_approximant(z, near)
+        v = fresh_verify(cert, z)
+        assert (report.n, report.k, report.depth) == (2, 12, cert.d)
+        assert (report.cost, report.recon_error) == (v.cost, v.recon_error)
+        assert report.passed == (v.passed and v.cost <= report.bound + 1e-6)
 
 
 class TestConstructionsRegistry:
@@ -174,9 +205,9 @@ class TestDirectSum:
         val = evaluate(cert)
         for i in range(2):
             for j in range(2):
-                entry = val.entry(i, j)
-                np.testing.assert_allclose(entry[:2, :2], targets[0].entry(i, j), atol=1e-10)
-                np.testing.assert_allclose(entry[2:, 2:], targets[1].entry(i, j), atol=1e-10)
+                entry = val.blocks[i, j]
+                np.testing.assert_allclose(entry[:2, :2], targets[0].blocks[i, j], atol=1e-10)
+                np.testing.assert_allclose(entry[2:, 2:], targets[1].blocks[i, j], atol=1e-10)
                 np.testing.assert_allclose(entry[:2, 2:], 0, atol=1e-12)
 
     def test_cost_is_max_like(self, rng):

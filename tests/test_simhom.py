@@ -51,6 +51,12 @@ class TestSimilarityHom:
         with pytest.raises(ValueError):
             SimilarityHom(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("entries", [[np.nan, 1], [1, np.nan], [complex(1, np.nan), 1],
+                                         [np.inf, 1]])
+    def test_rejects_non_finite_naming_xi(self, entries):
+        with pytest.raises(ValueError, match="xi has non-finite entries"):
+            SimilarityHom(np.diag(entries))
+
 
 class TestInnerDerivation:
     def test_apply(self, rng):
@@ -58,6 +64,11 @@ class TestInnerDerivation:
         d = InnerDerivation(T)
         x = rng.standard_normal((3, 3))
         np.testing.assert_allclose(d.apply(x), x @ T - T @ x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_naming_T(self, bad):
+        with pytest.raises(ValueError, match="T has non-finite entries"):
+            InnerDerivation(np.array([[0.0, bad], [0.0, 0.0]]))
 
     def test_kills_identity(self):
         d = InnerDerivation(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -162,6 +173,10 @@ class TestDerivationCheck:
         assert r["vacuous"] and r["consistent"]
         assert r["proved"] is False
 
+    def test_nan_in_T_rejected_before_the_ascent(self):
+        with pytest.raises(ValueError, match="T has non-finite entries"):
+            derivation_check(np.array([[0.0, np.nan], [0.0, 0.0]]), K=1.0, d=2, level=2)
+
     def test_nilpotent_consistent(self):
         T = np.array([[0.0, 1.0], [0.0, 0.0]])
         r = derivation_check(T, K=1.0, d=3, level=2, restarts=20)
@@ -193,7 +208,7 @@ class TestPushThrough:
         for i in range(2):
             for j in range(2):
                 np.testing.assert_allclose(
-                    val.entry(i, j), u.apply(x.entry(i, j)), atol=1e-10
+                    val.blocks[i, j], u.apply(x.blocks[i, j]), atol=1e-10
                 )
 
     def test_cost_bound(self, rng):

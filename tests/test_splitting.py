@@ -117,7 +117,7 @@ class TestInvariants:
         assert np.abs(s.p @ b - b @ s.p).max() <= 1e-9
 
     def test_zero_matrix(self):
-        x = BlockMatrix.zeros(2, 2, 4)
+        x = BlockMatrix(np.zeros((2, 2, 4, 4)))
         s = split_small_l2(x, 0.1)
         assert not np.any(s.p) and not np.any(s.q)
         assert np.abs(s.remainder.blocks).max() == 0.0
