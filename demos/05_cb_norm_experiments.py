@@ -33,7 +33,7 @@ print(f"tight against oracle: {check['tight']} (lower = {check['lower']:.6f})")
 
 bound = cb_lower_bound(u, level=3, restarts=20, seed=0)
 print(
-    f"witness: level {bound.level}, input norm "
+    f"witness: level {bound.witness.shape[0] // u.k}, input norm "
     f"{np.linalg.norm(bound.witness, 2):.4f} <= 1"
 )
 

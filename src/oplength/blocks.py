@@ -134,7 +134,7 @@ class DiagonalMatrix:
 
     @classmethod
     def unit(cls, size: int, k: int) -> "DiagonalMatrix":
-        return cls(np.broadcast_to(np.eye(k, dtype=np.complex128), (size, k, k)).copy())
+        return cls(np.broadcast_to(np.eye(k, dtype=np.complex128), (size, k, k)))
 
     def norm(self) -> float:
         """The largest entry norm, from one SVD per distinct entry, kept on the instance.
@@ -170,16 +170,15 @@ class DiagonalMatrix:
 
 
 def block_diag(mats) -> np.ndarray:
-    """The complex matrix with the 2-d arrays ``mats`` along its diagonal, zero elsewhere."""
+    """``mats`` along the diagonal of their last two axes, zero elsewhere; leading axes shared."""
     mats = list(mats)
-    out = np.zeros(
-        (sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=np.complex128
-    )
+    shape = (sum(m.shape[-2] for m in mats), sum(m.shape[-1] for m in mats))
+    out = np.zeros(np.broadcast_shapes(*(m.shape[:-2] for m in mats)) + shape, np.complex128)
     r = c = 0
     for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
+        out[..., r:r + m.shape[-2], c:c + m.shape[-1]] = m
+        r += m.shape[-2]
+        c += m.shape[-1]
     return out
 
 

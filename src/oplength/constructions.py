@@ -190,7 +190,7 @@ def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationC
     eye = np.eye(n, dtype=np.complex128)
     return FactorizationCertificate(
         (eye, W, W, eye),
-        (DiagonalMatrix(fam.a.copy()), DiagonalMatrix(D2), DiagonalMatrix(fam.d.copy())),
+        (DiagonalMatrix(fam.a), DiagonalMatrix(D2), DiagonalMatrix(fam.d)),
     )
 
 

@@ -263,13 +263,7 @@ def direct_sum_certificate(xs, construction: str):
     ref = certs[0]
     for c in certs[1:]:
         _check_same_scalars(c, ref, "across coordinates")
-    diags = []
-    for i in range(ref.d):
-        entries = np.stack(
-            [block_diag([c.diags[i].entries[j] for c in certs])
-             for j in range(ref.diags[i].size)]
-        )
-        diags.append(DiagonalMatrix(entries))
+    diags = (DiagonalMatrix(block_diag([c.diags[i].entries for c in certs])) for i in range(ref.d))
     return FactorizationCertificate(ref.alphas, tuple(diags)), list(targets)
 
 

@@ -69,13 +69,15 @@ def _complex_list_json(arrays) -> str:
     return "[" + ", ".join([_complex_json(a) for a in arrays]) + "]"
 
 
-def _document(text: str, lists) -> dict:
-    """The JSON object in ``text``; each field named in ``lists`` must be a list."""
+def _document(text: str, scalars, lists) -> dict:
+    """The JSON object in ``text``; every field named must be there, those in ``lists`` as lists."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
-    for name in lists:
-        if not isinstance(doc[name], list):
+    for name in (*scalars, *lists):
+        if name not in doc:
+            raise ValueError(f"{name}: missing")
+        if name in lists and not isinstance(doc[name], list):
             raise ValueError(f"{name}: expected a list")
     return doc
 
@@ -102,7 +104,7 @@ def instance_to_json(x: BlockMatrix) -> str:
 
 
 def instance_from_json(text: str) -> BlockMatrix:
-    doc = _document(text, ("blocks",))
+    doc = _document(text, ("n", "k"), ("blocks",))
     blocks = _decode_complex(doc["blocks"], "blocks")
     if blocks.shape != (doc["n"], doc["n"], doc["k"], doc["k"]):
         raise ValueError(
@@ -123,7 +125,7 @@ def certificate_to_json(cert: FactorizationCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> FactorizationCertificate:
-    doc = _document(text, ("widths", "alphas", "diags"))
+    doc = _document(text, ("d", "k"), ("widths", "alphas", "diags"))
     alphas = tuple(_decode_complex(a, f"alphas[{i}]") for i, a in enumerate(doc["alphas"]))
     diags = tuple(
         DiagonalMatrix(_decode_complex(D, f"diags[{i}]")) for i, D in enumerate(doc["diags"])

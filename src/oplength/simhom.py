@@ -33,6 +33,15 @@ __all__ = [
 ]
 
 
+def _square_finite(a, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
 @dataclass(frozen=True)
 class SimilarityHom:
     """The unital homomorphism x -> xi^-1 x xi on M_k."""
@@ -40,11 +49,7 @@ class SimilarityHom:
     xi: np.ndarray
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=np.complex128)
-        if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
-            raise ValueError("xi must be square")
-        if not np.all(np.isfinite(xi)):
-            raise ValueError("xi has non-finite entries")
+        xi = _square_finite(self.xi, "xi")
         if not np.linalg.cond(xi) <= 1e14:  # a NaN condition number fails too
             raise ValueError("xi is singular or numerically singular")
         object.__setattr__(self, "xi", xi)
@@ -75,11 +80,7 @@ class InnerDerivation:
     T: np.ndarray
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=np.complex128)
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise ValueError("T must be square")
-        if not np.all(np.isfinite(T)):
-            raise ValueError("T has non-finite entries")
+        T = _square_finite(self.T, "T")
         object.__setattr__(self, "T", T)
         # || |x| |T| + |T| |x| || <= _abs_scale ||x||_F, for cb_lower_bound's margin
         object.__setattr__(self, "_abs_scale", 2 * np.linalg.norm(T))
@@ -97,9 +98,10 @@ class InnerDerivation:
 
 @dataclass(frozen=True)
 class CbLowerBound:
+    """An amplified-norm lower bound; the witness is the ascent iterate attaining it."""
+
     value: float
-    witness: np.ndarray  # input at `level`, norm <= 1 + 4Nu (N = level * k) as the margin allows
-    level: int
+    witness: np.ndarray  # order m k at level m, carried to level m + 1; norm <= 1 + 4Nu, N = m k
 
 
 def _apply_amplified(op, X: np.ndarray, k: int, m: int, adjoint: bool = False) -> np.ndarray:
@@ -109,32 +111,34 @@ def _apply_amplified(op, X: np.ndarray, k: int, m: int, adjoint: bool = False) -
 
 
 def _ascend(op, k: int, m: int, X0: np.ndarray):
-    X = X0
+    """The largest computed sigma_max(fl(op_m(X))) over the iterates, and the X attaining it."""
+    X = best_X = X0
     best = -np.inf
     for _ in range(500):
         Y = _apply_amplified(op, X, k, m)
         U, s, Vh = np.linalg.svd(Y)
         val = float(s[0]) if s.size else 0.0
-        if val <= best + 1e-8:
-            best = max(best, val)
+        improved = val > best + 1e-8
+        if val > best:
+            best, best_X = val, X
+        if not improved:
             break
-        best = val
         pairing = np.outer(U[:, 0], Vh[0])
         G = _apply_amplified(op, pairing, k, m, adjoint=True)
         Ug, sg, Vgh = np.linalg.svd(G)
         if sg.max(initial=0.0) == 0.0:
             break
         X = Ug @ Vgh  # polar factor: the trace-norm maximizer of Re<G, X>
-    return best, X
+    return best, best_X
 
 
 def cb_lower_bound(op, level: int, restarts: int = 50, seed: int = 0) -> CbLowerBound:
     """Certified lower bound on the amplified-map norm at the given level.
 
-    The best witness of each level is padded with zeros and carried to
-    the next, so the bound is nondecreasing in the level by
-    construction.  Deterministic for a fixed seed; restarts use
-    independent per-(level, restart) substreams.
+    Each level's witness, the iterate attaining its value, is padded
+    with zeros and carried to the next, so the bound is nondecreasing in
+    the level by construction.  Deterministic for a fixed seed; restarts
+    use independent per-(level, restart) substreams.
 
     A level's value v, the computed top singular value of Y' = fl(op(X))
     for an iterate X of order N = m k, is rounded down to hold exactly
@@ -151,7 +155,7 @@ def cb_lower_bound(op, level: int, restarts: int = 50, seed: int = 0) -> CbLower
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     k, u = op.k, np.finfo(float).eps / 2
-    best_val, best_X, best_level = 0.0, None, 1
+    best_val, best_X = 0.0, np.zeros((k, k), dtype=np.complex128)
     carried = None
     for m in range(1, level + 1):
         starts = []
@@ -173,10 +177,8 @@ def cb_lower_bound(op, level: int, restarts: int = 50, seed: int = 0) -> CbLower
         level_best = (level_best / g - 5 * (k + 2) * u * op._abs_scale * np.sqrt(m * k) * g) / g
         level_best *= 1 - 8 * u
         if level_best > best_val:
-            best_val, best_X, best_level = level_best, level_X, m
-    if best_X is None:
-        best_X = np.zeros((k, k), dtype=np.complex128)
-    return CbLowerBound(value=float(best_val), witness=best_X, level=best_level)
+            best_val, best_X = level_best, level_X
+    return CbLowerBound(value=float(best_val), witness=best_X)
 
 
 def norm_lower(op, level: int, restarts: int = 50, seed: int = 0) -> float:
@@ -192,9 +194,7 @@ def push_through(u: SimilarityHom, cert: FactorizationCertificate) -> Factorizat
     """
     if u.k != cert.k:
         raise ValueError(f"homomorphism on M_{u.k} does not match certificate over M_{cert.k}")
-    diags = tuple(
-        DiagonalMatrix(np.stack([u.apply(e) for e in D.entries])) for D in cert.diags
-    )
+    diags = tuple(DiagonalMatrix(u.apply(D.entries)) for D in cert.diags)
     return FactorizationCertificate(cert.alphas, diags)
 
 

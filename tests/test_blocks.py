@@ -186,6 +186,24 @@ class TestFourierUnitary:
             fourier_unitary(0)
 
 
+class TestBlockDiag:
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(0, 3), max_size=2),
+           sizes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_is_the_block_diag_of_each_slice(self, lead, sizes, seed):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for r, c in sizes:
+            m = rng.standard_normal((*lead, r, c)) + 1j * rng.standard_normal((*lead, r, c))
+            m[rng.random(m.shape) < 0.2] = complex(-0.0, -0.0)
+            mats.append(m)
+        out = block_diag(mats)
+        assert out.shape == (*lead, sum(r for r, _ in sizes), sum(c for _, c in sizes))
+        for idx in np.ndindex(*lead):
+            assert out[idx].tobytes() == block_diag([m[idx] for m in mats]).tobytes()
+
+
 class TestAlgebraInvariants:
     @pytest.mark.parametrize("op", ["__add__", "__sub__"])
     def test_mismatched_shapes_refused(self, op):

@@ -263,6 +263,26 @@ class TestCli:
         assert main(argv[command]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, target, name", [
+        *[(c, "inst", f) for c in ("factor", "verify") for f in ("n", "k", "blocks")],
+        *[("verify", "cert", f) for f in ("d", "k", "widths", "alphas", "diags")],
+    ])
+    def test_missing_field_is_usage_error_naming_it(self, tmp_path, capsys, command, target,
+                                                    name):
+        inst = self.run_gen(tmp_path)
+        cert = tmp_path / "cert.json"
+        main(["factor", "--instance", str(inst), "--construction", "length1",
+              "--out", str(cert)])
+        path = cert if target == "cert" else inst
+        doc = json.loads(path.read_text())
+        del doc[name]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = {"verify": ["verify", "--instance", str(inst), "--certificate", str(cert)],
+                "factor": ["factor", "--instance", str(inst), "--construction", "length1"]}
+        assert main(argv[command]) == 2
+        assert f"error: {name}: missing" in capsys.readouterr().err
+
     def test_tampered_diagonal_fails(self, tmp_path):
         inst = self.run_gen(tmp_path)
         cert = tmp_path / "cert.json"

@@ -216,6 +216,19 @@ class TestDirectSum:
         parts = [CONSTRUCTIONS["length1"].build(x)[0] for x in xs]
         assert cost(cert) <= max(cost(c) for c in parts) + 1e-9
 
+    @pytest.mark.parametrize("construction", ["length1", "sub19", "t13"])
+    def test_diagonals_are_per_entry_block_diagonals(self, construction):
+        xs = [random_instance(2, 4, seed=s) for s in (1, 2, 3)]
+        cert, _ = direct_sum_certificate(xs, construction)
+        parts = [CONSTRUCTIONS[construction].build(x)[0] for x in xs]
+        kc = parts[0].k
+        for i, D in enumerate(cert.diags):
+            want = np.zeros((D.size, 3 * kc, 3 * kc), dtype=np.complex128)
+            for j in range(D.size):
+                for c, part in enumerate(parts):
+                    want[j, c * kc:(c + 1) * kc, c * kc:(c + 1) * kc] = part.diags[i].entries[j]
+            assert D.entries.tobytes() == want.tobytes()
+
     def test_shape_mismatch_rejected(self, rng):
         xs = [random_instance(2, 2, seed=1), random_instance(3, 2, seed=1)]
         with pytest.raises(ShapeMismatchError):

@@ -19,7 +19,7 @@ from oplength import (
     similarity_cb_check,
     universal_depth1,
 )
-from oplength.simhom import _apply_amplified
+from oplength.simhom import _apply_amplified, _ascend
 
 from conftest import random_block, random_certificate
 
@@ -107,6 +107,56 @@ class TestAmplification:
                 assert out.tobytes() == expected.reshape(m * k, m * k).tobytes()
 
 
+ASCENT_MAPS = [
+    SimilarityHom(np.diag([10.0, 1.0, 1.0])),
+    SimilarityHom(np.diag([4.0, 2.0, 1.0])),
+    InnerDerivation(np.diag([1.0, 1.0], 1)),  # the nilpotent shift on M_3
+]
+ASCENT_IDS = ["xi-10-1-1", "xi-4-2-1", "nilpotent-T"]
+
+
+class TestAscent:
+    @pytest.mark.parametrize("op", ASCENT_MAPS, ids=ASCENT_IDS)
+    def test_value_is_the_norm_of_the_returned_iterate(self, op):
+        # the starts of cb_lower_bound at levels 1-3, seeds 0-5, 10 restarts: 180 ascents per map
+        k = op.k
+        for m in (1, 2, 3):
+            for seed in range(6):
+                for r in range(10):
+                    rng = np.random.default_rng([seed, m, r])
+                    shape = (m * k, m * k)
+                    X0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    val, X = _ascend(op, k, m, X0 / operator_norm(X0))
+                    assert val == float(np.linalg.svd(_apply_amplified(op, X, k, m))[1][0])
+
+    class _ScriptedOp:
+        """An op on M_2 at level 1: the t-th apply scales by gains[t] and records its input
+        with the sigma_max of its image; the adjoint step returns a matrix turning with t."""
+
+        k = 2
+
+        def __init__(self, gains):
+            self.gains, self.seen = list(gains), {}
+
+        def apply(self, B):
+            out = B * self.gains[len(self.seen)]
+            self.seen[B.tobytes()] = float(np.linalg.svd(out[0, 0])[1][0])
+            return out
+
+        def apply_adjoint(self, Y):
+            t = len(self.seen)
+            return np.array([[[[np.cos(t), np.sin(t)], [-np.sin(t), 2 * np.cos(t)]]]])
+
+    @pytest.mark.parametrize("gains", [[1.0, 0.5], [1 + 1e-6 * t for t in range(500)]],
+                             ids=["value-drops", "500-steps"])
+    def test_returned_iterate_is_the_one_attaining_the_value(self, gains):
+        # a value drop at the stop test, and the cap of 500 steps; the ascents of
+        # test_value_is_the_norm_of_the_returned_iterate reach neither
+        op = self._ScriptedOp(gains)
+        val, X = _ascend(op, op.k, 1, np.eye(2, dtype=np.complex128))
+        assert op.seen.get(X.tobytes()) == val == max(op.seen.values())
+
+
 class TestCbLowerBound:
     def test_identity_map_value_one(self):
         b = cb_lower_bound(SimilarityHom(np.eye(2)), level=2, restarts=5, seed=0)
@@ -119,6 +169,22 @@ class TestCbLowerBound:
         assert operator_norm(b.witness) <= 1 + 1e-8
         image = _apply_amplified(u, b.witness, u.k, m)
         assert operator_norm(image) >= b.value - 1e-8
+
+    @pytest.mark.parametrize("op", ASCENT_MAPS, ids=ASCENT_IDS)
+    def test_witness_recertifies_value_with_zero_slack(self, op):
+        # value is the docstring's rounding-down of the witness's own computed sigma_max
+        k, u = op.k, np.finfo(float).eps / 2
+        for level in (1, 2, 3):
+            for seed in (0, 1):
+                b = cb_lower_bound(op, level, restarts=10, seed=seed)
+                W = b.witness
+                m = W.shape[0] // k
+                v = float(np.linalg.svd(_apply_amplified(op, W, k, m))[1][0])
+                g = 1 + 4 * m * k * u
+                bound = (v / g - 5 * (k + 2) * u * op._abs_scale * np.sqrt(m * k) * g) / g
+                bound *= 1 - 8 * u
+                assert b.value == bound
+                assert b.value <= operator_norm(_apply_amplified(op, W, k, m)) / operator_norm(W)
 
     def test_monotone_in_level(self):
         u = SimilarityHom(np.diag([3.0, 1.0]))
@@ -198,6 +264,14 @@ class TestPushThrough:
         expected = u.apply(evaluate(cert).blocks)
         assert np.abs(evaluate(pushed).blocks - expected).max() <= 1e-10 * max(1.0, bound)
         assert cost(pushed) <= bound * (1 + 1e-9)
+
+    @pytest.mark.parametrize("k", [2, 16, 48])
+    def test_diagonals_are_the_per_entry_images(self, rng, k):
+        # the per-entry loop is the reference for the one batched apply per diagonal
+        u = SimilarityHom(2 * np.eye(k) + rng.standard_normal((k, k)))
+        cert = random_certificate(rng, n=2, k=k, d=2, widths=(3, 5))
+        for D, P in zip(cert.diags, push_through(u, cert).diags):
+            assert P.entries.tobytes() == np.stack([u.apply(e) for e in D.entries]).tobytes()
 
     def test_evaluate_contract(self, rng):
         u = SimilarityHom(np.diag([2.0, 1.0, 1.0]))
