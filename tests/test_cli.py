@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from oplength import (
     random_instance,
     universal_depth1,
 )
+import oplength
 from oplength import certs, pipeline
 from oplength.cli import main
 from oplength.serial import (
@@ -426,3 +432,30 @@ class TestCli:
         ]) == 0
         rows = path.read_text().splitlines()
         assert len(rows) == 6  # header + one row per construction
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_main_places_arrays_whatever_was_freed_before(self):
+        # Memory given back when a 16 MiB array is freed after a command, with and
+        # without a 24 MiB array freed first; glibc's default thresholds make these differ.
+        code = textwrap.dedent("""
+            import os, sys
+            import numpy as np
+            from oplength.cli import main
+            def rss():
+                with open("/proc/self/statm") as f:
+                    return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+            main(["cb", "--xi-spec", "2,1", "--level", "1", "--restarts", "1"])
+            if sys.argv[1] == "1":
+                np.ones(3 << 20)  # 24 MiB, freed at once
+            a = np.ones(2 << 20)
+            before = rss()
+            del a
+            print(before - rss())
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oplength.__file__)))
+        given_back = [
+            int(subprocess.run([sys.executable, "-c", code, first], env=env, text=True,
+                               capture_output=True, check=True).stdout.splitlines()[-1])
+            for first in "01"
+        ]
+        assert abs(given_back[0] - given_back[1]) < 1 << 20, given_back
