@@ -137,21 +137,14 @@ class DiagonalMatrix:
         return cls(np.broadcast_to(np.eye(k, dtype=np.complex128), (size, k, k)))
 
     def norm(self) -> float:
-        """The largest entry norm, from one SVD per distinct entry, kept on the instance.
-
-        Entries are keyed by their bytes, so only bitwise repeats are
-        skipped (a signed zero makes an entry distinct).  numpy's batched
-        SVD gives each matrix the same bits whatever else is in the
-        batch, so the result equals the norm over all entries bit for bit.
-        """
+        """The largest entry norm, from one batched SVD over all entries, kept on the instance."""
         return self._norm
 
     @cached_property
     def _norm(self) -> float:
         # max over every singular value from +0 is the entrywise max norm bit for bit:
         # max is exact and a +0 start keeps a -0 singular value from deciding a tie
-        distinct = list({m.tobytes(): i for i, m in enumerate(self.entries)}.values())
-        return float(np.linalg.svd(self.entries[distinct], compute_uv=False).max(initial=0.0))
+        return float(np.linalg.svd(self.entries, compute_uv=False).max(initial=0.0))
 
     def adjoint(self) -> "DiagonalMatrix":
         return DiagonalMatrix(self.entries.conj().transpose(0, 2, 1))

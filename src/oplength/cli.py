@@ -1,10 +1,12 @@
 """Command-line driver.
 
 Exit codes: 0 pass, 1 verification or bound failure, 2 input/usage
-error.  Reports are single machine-readable JSON objects; benchmark
-tables are CSV with a fixed header.  Every command is deterministic
-given its flags and seed (timing columns are opt-in, since they are
-inherently nondeterministic).
+error; a usage error is raised where its rule lives and printed by
+``main`` as one ``error: ...`` line on stderr, nothing on stdout.
+Reports are single machine-readable JSON objects; benchmark tables are
+CSV with a fixed header.  Every command is deterministic given its
+flags and seed (timing columns are opt-in, since they are inherently
+nondeterministic).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import serial
 # operator_norm is unused here but kept bound: perfbench's tracer tests read cli.operator_norm
-from .blocks import ShapeMismatchError, operator_norm  # noqa: F401
+from .blocks import operator_norm  # noqa: F401
 from .certs import verify
 from .instances import DISTRIBUTIONS, random_instance
 from .pipeline import CONSTRUCTIONS, UniformityError, uniformity_check
@@ -49,6 +51,19 @@ def _pin_malloc_thresholds() -> None:
         pass
 
 
+def _items(flag: str, text: str, kind) -> list:
+    """The comma-separated items of ``flag``'s value as ``kind``; ValueError names flag and item."""
+    out = []
+    for v in filter(None, text.split(",")):
+        try:
+            out.append(kind(v))
+        except ValueError:
+            raise ValueError(f"{flag}: cannot read {v!r} as {kind.__name__}") from None
+    if not out:
+        raise ValueError(f"{flag}: empty list")
+    return out
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as f:
@@ -66,14 +81,7 @@ def cmd_gen(args) -> int:
 def cmd_factor(args) -> int:
     with open(args.instance) as f:
         x = serial.instance_from_json(f.read())
-    spec = CONSTRUCTIONS[args.construction]
-    if not spec.applicable(x.n, x.k):
-        print(serial.dump_report({
-            "error": f"construction {args.construction} needs n | k",
-            "n": x.n, "k": x.k,
-        }))
-        return USAGE_ERROR
-    cert, target = spec.build(x)
+    cert, target = CONSTRUCTIONS[args.construction].build(x)
     report = verify(cert, target, args.tol)
     doc = {
         "construction": args.construction,
@@ -101,11 +109,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ns = [int(v) for v in args.n_range.split(",") if v]
-    if not ns or args.trials < 1:
-        print("empty n range or trials", file=sys.stderr)
-        return USAGE_ERROR
-    names = [c for c in args.constructions.split(",") if c]
+    ns = _items("--n-range", args.n_range, int)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    names = _items("--constructions", args.constructions, str)
+    known = ", ".join(sorted(CONSTRUCTIONS))
+    for name in names:
+        if name not in CONSTRUCTIONS:
+            raise ValueError(f"--constructions: unknown {name!r}; known: {known}")
+    runs = [(c, n) for c in names for n in ns if CONSTRUCTIONS[c].applicable(n, args.k)]
+    if not runs:
+        raise ValueError(f"nothing to run: all need n | k, no --n-range n divides --k {args.k}")
+    for name, n in ((c, n) for c in names for n in ns if (c, n) not in runs):
+        print(f"skipped {name} at n={n}, k={args.k}: needs n | k", file=sys.stderr)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["construction", "n", "k", "trial", "cost", "norm", "ratio"]
@@ -113,32 +129,24 @@ def cmd_bench(args) -> int:
         header.append("seconds")
     writer.writerow(header)
     ok = True
-    for name in names:
-        spec = CONSTRUCTIONS[name]
-        for n in ns:
-            if not spec.applicable(n, args.k):
-                continue
-            for t in range(args.trials):
-                x = random_instance(n, args.k, args.seed * 1000 + t)
-                t0 = time.perf_counter()
-                cert, target = spec.build(x)
-                dt = time.perf_counter() - t0
-                rep = verify(cert, target, args.tol)
-                row = [name, n, args.k, t, repr(rep.cost), repr(rep.lower), repr(rep.ratio)]
-                if args.timings:
-                    row.append(repr(dt))
-                writer.writerow(row)
-                ok = ok and rep.passed
+    for name, n in runs:
+        for t in range(args.trials):
+            x = random_instance(n, args.k, args.seed * 1000 + t)
+            t0 = time.perf_counter()
+            cert, target = CONSTRUCTIONS[name].build(x)
+            dt = time.perf_counter() - t0
+            rep = verify(cert, target, args.tol)
+            row = [name, n, args.k, t, repr(rep.cost), repr(rep.lower), repr(rep.ratio)]
+            if args.timings:
+                row.append(repr(dt))
+            writer.writerow(row)
+            ok = ok and rep.passed
     _write_out(buf.getvalue(), args.out)
     return 0 if ok else CHECK_FAILED
 
 
 def cmd_cb(args) -> int:
-    entries = [complex(v) for v in args.xi_spec.split(",") if v]
-    if not entries:
-        print("empty --xi-spec", file=sys.stderr)
-        return USAGE_ERROR
-    xi = np.diag(entries)
+    xi = np.diag(_items("--xi-spec", args.xi_spec, complex))
     report = similarity_cb_check(xi, args.level, args.restarts, args.seed)
     print(serial.dump_report(report))
     return 0 if report["consistent"] and report["tight"] else CHECK_FAILED
@@ -217,7 +225,7 @@ def main(argv=None) -> int:
         if not 0 <= getattr(args, "tol", 0.0) < np.inf:
             raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
         return args.func(args)
-    except (OSError, ValueError, ShapeMismatchError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -150,7 +150,7 @@ class ProjectionPartition:
 def diagonal_partition(n: int, k: int) -> ProjectionPartition:
     """The n diagonal-block projections of M_k (requires n | k)."""
     if k % n:
-        raise ShapeMismatchError(f"{n} does not divide the block order {k}")
+        raise ShapeMismatchError(f"the diagonal partition needs n | k, got n={n}, k={k}")
     eye = np.eye(n, dtype=np.complex128)
     return ProjectionPartition(np.stack([np.kron(np.diag(e), np.eye(k // n)) for e in eye]))
 

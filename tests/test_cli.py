@@ -301,17 +301,34 @@ class TestCli:
             "verify", "--instance", str(inst), "--certificate", str(cert),
         ]) == 1
 
-    def test_factor_inapplicable_is_usage_error(self, tmp_path, capsys):
-        inst = self.run_gen(tmp_path, n=3, k=4)
-        assert main([
-            "factor", "--instance", str(inst), "--construction", "lemma5",
-        ]) == 2
-
-    def test_missing_file_is_usage_error(self, tmp_path):
-        assert main([
-            "verify", "--instance", str(tmp_path / "nope.json"),
-            "--certificate", str(tmp_path / "nope2.json"),
-        ]) == 2
+    @pytest.mark.parametrize("argv, named", [
+        (["factor", "--instance", "{x34}", "--construction", "t13"], "partition needs n | k"),
+        (["factor", "--instance", "{x34}", "--construction", "lemma5"], "partition needs n | k"),
+        (["uniformity", "--construction", "t13", "--n", "3", "--k", "4"], "partition needs n | k"),
+        (["gen", "--n", "3", "--k", "4", "--distribution", "blockdiag"], "partition needs n | k"),
+        (["bench", "--constructions", "nope"],
+         "--constructions: unknown 'nope'; known: lemma5, length1, sub18, sub19, t13"),
+        (["bench", "--constructions", "t13", "--n-range", "2", "--k", "3"], "need n | k"),
+        (["bench", "--n-range", "", "--trials", "1"], "--n-range: empty"),
+        (["bench", "--trials", "0"], "--trials"),
+        (["bench", "--n-range", "2,x"], "--n-range: cannot read 'x'"),
+        (["cb", "--xi-spec", ""], "--xi-spec: empty"),
+        (["cb", "--xi-spec", "abc"], "--xi-spec: cannot read 'abc'"),
+        (["verify", "--instance", "{missing}", "--certificate", "{missing}"], "nope.json"),
+    ], ids=["factor-t13-3x4", "factor-lemma5-3x4", "uniformity-t13-3x4", "gen-blockdiag-3x4",
+            "bench-unknown-name", "bench-nothing-applicable", "bench-empty-range",
+            "bench-zero-trials", "bench-bad-range-item", "cb-empty-spec", "cb-bad-spec",
+            "missing-file"])
+    def test_usage_error_is_one_stderr_line_naming_the_rule(self, tmp_path, capsys, argv, named):
+        files = {"{missing}": str(tmp_path / "nope.json")}
+        if "{x34}" in argv:
+            files["{x34}"] = str(self.run_gen(tmp_path, n=3, k=4))
+        capsys.readouterr()
+        assert main([files.get(a, a) for a in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert named in out.err
 
     def test_corrupt_instance_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -355,8 +372,17 @@ class TestCli:
         ]) == 0
         assert path.read_text().splitlines()[0].endswith(",seconds")
 
-    def test_bench_empty_range_usage_error(self, tmp_path):
-        assert main(["bench", "--n-range", "", "--trials", "1"]) == 2
+    def test_bench_notes_each_skipped_pair_on_stderr(self, capsys):
+        assert main(["bench"]) == 0  # --n-range 2,3 --k 2: t13 needs n | k at n = 3
+        out = capsys.readouterr()
+        assert out.err == "skipped t13 at n=3, k=2: needs n | k\n"
+        rows = ["construction,n,k,trial,cost,norm,ratio"]
+        for name in ("length1", "sub18", "sub19", "t13"):
+            for n in (2, 3) if name != "t13" else (2,):
+                for t in range(3):
+                    rep = certs.verify(*CONSTRUCTIONS[name].build(random_instance(n, 2, t)))
+                    rows.append(f"{name},{n},2,{t},{rep.cost!r},{rep.lower!r},{rep.ratio!r}")
+        assert out.out == "\n".join(rows) + "\n"
 
     def test_cb_tight_case(self, capsys):
         assert main([
@@ -369,9 +395,6 @@ class TestCli:
     def test_cb_zero_restarts_usage_error(self, capsys):
         assert main(["cb", "--xi-spec", "4,2,1", "--level", "2", "--restarts", "0"]) == 2
         assert capsys.readouterr().out == ""
-
-    def test_cb_bad_spec_usage_error(self, capsys):
-        assert main(["cb", "--xi-spec", "abc"]) == 2
 
     @pytest.mark.parametrize("spec", ["nan,1", "1,nan", "1+nanj,1", "inf,1"])
     def test_cb_non_finite_xi_usage_error_naming_xi(self, capsys, spec):
@@ -416,11 +439,6 @@ class TestCli:
             monkeypatch.setattr(mod, "evaluate", lambda c: calls.append(c) or original(c))
         assert main(["factor", "--instance", str(inst), "--construction", "t13"]) == 0
         assert len(calls) == 1
-
-    def test_uniformity_inapplicable_usage_error(self):
-        assert main([
-            "uniformity", "--construction", "t13", "--n", "3", "--k", "4",
-        ]) == 2
 
     def test_bench_verification_gates_exit_code(self, tmp_path):
         # all shipped constructions verify, so a full bench run exits 0

@@ -16,6 +16,7 @@ from oplength import (
     FamilyRelationError,
     IsometryFamily,
     ProjectionPartition,
+    ShapeMismatchError,
     UniformityError,
     corner_embedding_certificate,
     cost,
@@ -517,5 +518,5 @@ class TestProjectionPartition:
         ProjectionPartition(haar_rotated_partition(n, k, seed)).validate()
 
     def test_indivisible_order(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ShapeMismatchError, match=r"needs n \| k, got n=3, k=4"):
             diagonal_partition(3, 4)

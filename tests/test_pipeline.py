@@ -178,7 +178,7 @@ class TestUniformity:
             uniformity_check("length1", 2, 2, trials=1, seed=0)
 
     def test_inapplicable_shape(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match=r"needs n \| k, got n=3, k=4"):
             uniformity_check("lemma5", 3, 4, trials=2, seed=0)
 
     def test_digest_depends_on_shape(self):
@@ -233,6 +233,11 @@ class TestDirectSum:
         xs = [random_instance(2, 2, seed=1), random_instance(3, 2, seed=1)]
         with pytest.raises(ShapeMismatchError):
             direct_sum_certificate(xs, "length1")
+
+    def test_indivisible_shape_rejected_by_the_partition_rule(self):
+        xs = [random_instance(2, 3, seed=s) for s in (1, 2)]
+        with pytest.raises(ShapeMismatchError, match=r"needs n \| k"):
+            direct_sum_certificate(xs, "t13")
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
