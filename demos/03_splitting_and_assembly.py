@@ -19,8 +19,9 @@ defect = random_instance(n, k, seed=3)
 defect = defect * (0.05 / block_l2(defect))
 z = zprime + defect
 
-split = split_small_l2(defect, eps=0.06)
-print(f"defect L2 mass: {block_l2(defect):.4f} < eps = {split.epsilon}")
+eps = 0.06
+split = split_small_l2(defect, eps)
+print(f"defect L2 mass: {block_l2(defect):.4f} < eps = {eps}")
 print(
     f"projection traces: tau(p) = {normalized_trace(split.p).real:.4f}, "
     f"tau(q) = {normalized_trace(split.q).real:.4f} (bound 1/{n})"
@@ -28,7 +29,7 @@ print(
 rem = max(
     np.linalg.norm(b, 2) for b in split.remainder.blocks.reshape(-1, k, k)
 )
-print(f"max remainder entry: {rem:.4f} <= 2*eps*sqrt(n) = {2 * 0.06 * np.sqrt(n):.4f}")
+print(f"max remainder entry: {rem:.4f} <= 2*eps*sqrt(n) = {2 * eps * np.sqrt(n):.4f}")
 
 report, cert = assemble_from_approximant(z, universal_depth1(zprime))
 print(

@@ -62,7 +62,6 @@ from .simhom import (
     cb_lower_bound,
     derivation_check,
     norm_lower,
-    push_through,
     similarity_cb_check,
 )
 from .splitting import MassPreconditionError, SpectralSplit, split_small_l2

@@ -41,6 +41,10 @@ def random_instance(
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if not np.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng([seed, n, k])
     if distribution == "gaussian":
         return BlockMatrix(_complex_gaussian(rng, (n, n, k, k)))

@@ -6,7 +6,7 @@ checks, and certificates over finite direct sums.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,11 +60,6 @@ class PipelineReport:
     recon_error: float
     passed: bool
     extra: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
-        out.update(self.extra)
-        return out
 
 
 def _report(cert, target: BlockMatrix, epsilon: float, bound: float, slack: float, extra: dict):
@@ -223,14 +218,10 @@ def uniformity_check(construction: str, n: int, k: int, trials: int, seed: int) 
     if trials < 2:
         raise ValueError("need at least 2 trials")
     spec = CONSTRUCTIONS[construction]
-    ref = None
-    for t in range(trials):
-        x = random_instance(n, k, seed=seed * 100003 + t)
-        cert, _ = spec.build(x)
-        if ref is None:
-            ref = cert
-        else:
-            _check_same_scalars(cert, ref, f"at trial {t}")
+    ref, _ = spec.build(random_instance(n, k, seed=seed * 100003))
+    for t in range(1, trials):
+        cert, _ = spec.build(random_instance(n, k, seed=seed * 100003 + t))
+        _check_same_scalars(cert, ref, f"at trial {t}")
     return {
         "construction": construction,
         "n": n,

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DiagonalMatrix, operator_norm
-from .certs import FactorizationCertificate
+from .blocks import operator_norm
 
 __all__ = [
     "SimilarityHom",
@@ -27,7 +26,6 @@ __all__ = [
     "CbLowerBound",
     "cb_lower_bound",
     "norm_lower",
-    "push_through",
     "similarity_cb_check",
     "derivation_check",
 ]
@@ -104,18 +102,20 @@ class CbLowerBound:
     witness: np.ndarray  # order m k at level m, carried to level m + 1; norm <= 1 + 4Nu, N = m k
 
 
-def _apply_amplified(op, X: np.ndarray, k: int, m: int, adjoint: bool = False) -> np.ndarray:
-    f = op.apply_adjoint if adjoint else op.apply
+def _apply_amplified(f, X: np.ndarray, k: int) -> np.ndarray:
+    """f applied to each k x k block of X (f is ``op.apply`` or ``op.apply_adjoint``)."""
+    m = X.shape[0] // k
     B = X.reshape(m, k, m, k).transpose(0, 2, 1, 3)  # B[i, j] is block (i, j)
     return f(B).transpose(0, 2, 1, 3).reshape(m * k, m * k)
 
 
-def _ascend(op, k: int, m: int, X0: np.ndarray):
+def _ascend(op, X0: np.ndarray):
     """The largest computed sigma_max(fl(op_m(X))) over the iterates, and the X attaining it."""
+    k = op.k
     X = best_X = X0
     best = -np.inf
     for _ in range(500):
-        Y = _apply_amplified(op, X, k, m)
+        Y = _apply_amplified(op.apply, X, k)
         U, s, Vh = np.linalg.svd(Y)
         val = float(s[0]) if s.size else 0.0
         improved = val > best + 1e-8
@@ -124,7 +124,7 @@ def _ascend(op, k: int, m: int, X0: np.ndarray):
         if not improved:
             break
         pairing = np.outer(U[:, 0], Vh[0])
-        G = _apply_amplified(op, pairing, k, m, adjoint=True)
+        G = _apply_amplified(op.apply_adjoint, pairing, k)
         Ug, sg, Vgh = np.linalg.svd(G)
         if sg.max(initial=0.0) == 0.0:
             break
@@ -154,6 +154,8 @@ def cb_lower_bound(op, level: int, restarts: int = 50, seed: int = 0) -> CbLower
         raise ValueError("level must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     k, u = op.k, np.finfo(float).eps / 2
     best_val, best_X = 0.0, np.zeros((k, k), dtype=np.complex128)
     carried = None
@@ -169,7 +171,7 @@ def cb_lower_bound(op, level: int, restarts: int = 50, seed: int = 0) -> CbLower
             starts.append(X0 / operator_norm(X0))
         level_best, level_X = -np.inf, None
         for X0 in starts:
-            val, X = _ascend(op, k, m, X0)
+            val, X = _ascend(op, X0)
             if val > level_best:
                 level_best, level_X = val, X
         carried = level_X
@@ -183,19 +185,6 @@ def cb_lower_bound(op, level: int, restarts: int = 50, seed: int = 0) -> CbLower
 
 def norm_lower(op, level: int, restarts: int = 50, seed: int = 0) -> float:
     return cb_lower_bound(op, level, restarts, seed).value
-
-
-def push_through(u: SimilarityHom, cert: FactorizationCertificate) -> FactorizationCertificate:
-    """Apply the homomorphism entrywise to the diagonals of a certificate.
-
-    The result evaluates to the amplified image of the original value,
-    and its cost is bounded by the original cost times the certified
-    upper bound ``||xi|| ||xi^-1||`` per diagonal factor.
-    """
-    if u.k != cert.k:
-        raise ValueError(f"homomorphism on M_{u.k} does not match certificate over M_{cert.k}")
-    diags = tuple(DiagonalMatrix(u.apply(D.entries)) for D in cert.diags)
-    return FactorizationCertificate(cert.alphas, diags)
 
 
 def similarity_cb_check(xi: np.ndarray, level: int, restarts: int = 50, seed: int = 0) -> dict:

@@ -31,11 +31,9 @@ class MassPreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    p: np.ndarray            # projection (k, k)
-    q: np.ndarray            # projection (k, k)
-    compressed: BlockMatrix  # entries p x_ij q
-    remainder: BlockMatrix
-    epsilon: float
+    p: np.ndarray  # projection (k, k)
+    q: np.ndarray  # projection (k, k)
+    remainder: BlockMatrix  # x minus its compression, entries x_ij - p x_ij q
 
 
 def split_small_l2(x: BlockMatrix, eps: float) -> SpectralSplit:
@@ -55,6 +53,4 @@ def split_small_l2(x: BlockMatrix, eps: float) -> SpectralSplit:
     q = spectral_projection(a, t)
     p = spectral_projection(b, t)
     compressed = BlockMatrix(np.einsum("ab,ijbc,cd->ijad", p, x.blocks, q, optimize=True))
-    return SpectralSplit(
-        p=p, q=q, compressed=compressed, remainder=x - compressed, epsilon=float(eps)
-    )
+    return SpectralSplit(p=p, q=q, remainder=x - compressed)

@@ -315,10 +315,16 @@ class TestCli:
         (["cb", "--xi-spec", ""], "--xi-spec: empty"),
         (["cb", "--xi-spec", "abc"], "--xi-spec: cannot read 'abc'"),
         (["verify", "--instance", "{missing}", "--certificate", "{missing}"], "nope.json"),
+        (["gen", "--n", "2", "--k", "2", "--noise", "nan"], "noise must be finite, got nan"),
+        (["gen", "--n", "2", "--k", "2", "--distribution", "blockdiag", "--noise", "nan"],
+         "noise must be finite, got nan"),
+        (["gen", "--n", "2", "--k", "2", "--seed", "-1"], "seed must be >= 0"),
+        (["cb", "--xi-spec", "1,1", "--seed", "-1"], "seed must be >= 0"),
     ], ids=["factor-t13-3x4", "factor-lemma5-3x4", "uniformity-t13-3x4", "gen-blockdiag-3x4",
             "bench-unknown-name", "bench-nothing-applicable", "bench-empty-range",
             "bench-zero-trials", "bench-bad-range-item", "cb-empty-spec", "cb-bad-spec",
-            "missing-file"])
+            "missing-file", "gen-nan-noise", "gen-blockdiag-nan-noise", "gen-negative-seed",
+            "cb-negative-seed"])
     def test_usage_error_is_one_stderr_line_naming_the_rule(self, tmp_path, capsys, argv, named):
         files = {"{missing}": str(tmp_path / "nope.json")}
         if "{x34}" in argv:

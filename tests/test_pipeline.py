@@ -67,9 +67,8 @@ class TestAssembleFromApproximant:
         report, _ = assemble_from_approximant(z, near)
         assert report.extra["K"] == pytest.approx(cost(near))
         assert report.extra["defect_l2"] == pytest.approx(0.05)
-        d = report.as_dict()
-        assert d["K"] == report.extra["K"]
-        assert "cost" in d and "bound" in d
+        assert report.epsilon == 1.01 * report.extra["defect_l2"]
+        assert report.bound == report.extra["K"] + 2 + 3 * report.epsilon * 2 ** 2.5
 
 
 class TestPinchingPipeline:

@@ -69,13 +69,15 @@ class TestInvariants:
     def test_decomposition_exact(self, rng):
         x = small_instance(rng, 3, 6, 0.2)
         s = split_small_l2(x, 0.2)
-        assert np.abs((s.compressed + s.remainder - x).blocks).max() <= 1e-12
+        expected = np.einsum("ab,ijbc,cd->ijad", s.p, x.blocks, s.q)
+        assert np.abs((x - s.remainder).blocks - expected).max() <= 1e-12
 
     def test_compressed_is_double_compression(self, rng):
+        # the compressed part x - remainder is fixed by p on the left and q on the right
         x = small_instance(rng, 3, 6, 0.2)
         s = split_small_l2(x, 0.2)
-        expected = np.einsum("ab,ijbc,cd->ijad", s.p, x.blocks, s.q)
-        assert np.abs(s.compressed.blocks - expected).max() <= 1e-12
+        compressed = (x - s.remainder).blocks
+        assert np.abs(s.p @ compressed @ s.q - compressed).max() <= 1e-12
 
     def test_remainder_entry_bound(self, rng):
         for n, k in [(2, 4), (3, 9)]:
