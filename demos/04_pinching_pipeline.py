@@ -10,10 +10,8 @@ so a whole family of inputs shares them in one direct-sum certificate.
 
 from oplength import (
     cost,
-    diagonal_partition,
     direct_sum_certificate,
     operator_norm,
-    pinch,
     pinching_pipeline,
     restrict_direct_sum,
     scalar_digest,
@@ -51,5 +49,4 @@ for i, t in enumerate(targets):
     print(f"  coordinate {i}: restriction verifies = {ok}")
 print(f"shared scalars digest: {scalar_digest(dsum)[:16]}...")
 
-pinched = pinch(x, diagonal_partition(n, k))
-print(f"certificate target check: {verify(cert, pinched, 1e-9).passed}")
+print(f"certificate target check: {verify(cert, report.target, 1e-9).passed}")

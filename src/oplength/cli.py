@@ -92,8 +92,7 @@ def cmd_factor(args) -> int:
         **report.as_dict(),
     }
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(serial.certificate_to_json(cert))
+        _write_out(serial.certificate_to_json(cert), args.out)
     print(serial.dump_report(doc))
     return 0 if report.passed else CHECK_FAILED
 
@@ -120,8 +119,6 @@ def cmd_bench(args) -> int:
     runs = [(c, n) for c in names for n in ns if CONSTRUCTIONS[c].applicable(n, args.k)]
     if not runs:
         raise ValueError(f"nothing to run: all need n | k, no --n-range n divides --k {args.k}")
-    for name, n in ((c, n) for c in names for n in ns if (c, n) not in runs):
-        print(f"skipped {name} at n={n}, k={args.k}: needs n | k", file=sys.stderr)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["construction", "n", "k", "trial", "cost", "norm", "ratio"]
@@ -141,6 +138,8 @@ def cmd_bench(args) -> int:
                 row.append(repr(dt))
             writer.writerow(row)
             ok = ok and rep.passed
+    for name, n in ((c, n) for c in names for n in ns if (c, n) not in runs):
+        print(f"skipped {name} at n={n}, k={args.k}: needs n | k", file=sys.stderr)
     _write_out(buf.getvalue(), args.out)
     return 0 if ok else CHECK_FAILED
 
@@ -163,9 +162,14 @@ def cmd_uniformity(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own usage errors, printed by main like the rest
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="oplength")
-    sub = p.add_subparsers(dest="command", required=True)
+    p = _Parser(prog="oplength")
+    sub = p.add_subparsers(dest="command", required=True)  # subparsers are _Parser too
 
     g = sub.add_parser("gen", help="generate a random instance file")
     g.add_argument("--n", type=int, required=True)
@@ -220,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _pin_malloc_thresholds()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if not 0 <= getattr(args, "tol", 0.0) < np.inf:
             raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
         return args.func(args)

@@ -51,8 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PipelineReport:
-    n: int
-    k: int
+    target: BlockMatrix = field(repr=False, compare=False)  # the matrix verified
     epsilon: float
     depth: int
     cost: float
@@ -66,8 +65,7 @@ def _report(cert, target: BlockMatrix, epsilon: float, bound: float, slack: floa
     """The report of cert against target: verify's verdict and cost <= bound + slack."""
     v = verify(cert, target)
     return PipelineReport(
-        n=target.n,
-        k=target.k,
+        target=target,
         epsilon=epsilon,
         depth=cert.d,
         cost=v.cost,
@@ -125,7 +123,7 @@ def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
     assembled bound for x (normalized to the unit ball) using the
     pinched certificate as approximant.
 
-    Returns ``(report, certificate)``.
+    Returns ``(report, certificate)``; ``report.target`` is the pinched matrix.
     """
     n, k = x.n, x.k
     if x.m != n:
@@ -173,8 +171,8 @@ def _build_diag_embed(x: BlockMatrix):
 
 
 def _build_pinched(x: BlockMatrix):
-    _, cert = pinching_pipeline(x)
-    return cert, pinch(x, diagonal_partition(x.n, x.k))
+    report, cert = pinching_pipeline(x)
+    return cert, report.target
 
 
 @dataclass(frozen=True)

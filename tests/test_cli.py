@@ -320,11 +320,17 @@ class TestCli:
          "noise must be finite, got nan"),
         (["gen", "--n", "2", "--k", "2", "--seed", "-1"], "seed must be >= 0"),
         (["cb", "--xi-spec", "1,1", "--seed", "-1"], "seed must be >= 0"),
+        (["bench", "--seed", "-1"], "seed must be >= 0"),
+        (["gen", "--n", "2"], "the following arguments are required: --k"),
+        (["factor", "--instance", "{x34}", "--construction", "nope"],
+         "argument --construction: invalid choice: 'nope'"),
+        (["gen", "--n", "x", "--k", "2"], "argument --n: invalid int value: 'x'"),
     ], ids=["factor-t13-3x4", "factor-lemma5-3x4", "uniformity-t13-3x4", "gen-blockdiag-3x4",
             "bench-unknown-name", "bench-nothing-applicable", "bench-empty-range",
             "bench-zero-trials", "bench-bad-range-item", "cb-empty-spec", "cb-bad-spec",
             "missing-file", "gen-nan-noise", "gen-blockdiag-nan-noise", "gen-negative-seed",
-            "cb-negative-seed"])
+            "cb-negative-seed", "bench-negative-seed", "gen-missing-k",
+            "factor-unknown-construction", "gen-bad-int"])
     def test_usage_error_is_one_stderr_line_naming_the_rule(self, tmp_path, capsys, argv, named):
         files = {"{missing}": str(tmp_path / "nope.json")}
         if "{x34}" in argv:
@@ -335,6 +341,12 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert named in out.err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: oplength gen")
 
     def test_corrupt_instance_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"

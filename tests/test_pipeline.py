@@ -22,6 +22,7 @@ from oplength import (
     verify,
 )
 from oplength.blocks import ShapeMismatchError
+from oplength import pipeline
 from oplength.pipeline import assemble_from_approximant
 from oplength.instances import random_instance
 
@@ -128,7 +129,7 @@ class TestReports:
         x = random_instance(3, 12, 5, "blockdiag", noise=noise)
         report, cert = pinching_pipeline(x, include_total_bound=True)
         v = fresh_verify(cert, pinch(x, diagonal_partition(3, 12)))
-        assert (report.n, report.k, report.depth) == (3, 12, cert.d)
+        assert (report.target.n, report.target.k, report.depth) == (3, 12, cert.d)
         assert (report.cost, report.recon_error) == (v.cost, v.recon_error)
         assert report.passed == (v.passed and v.cost <= report.bound + 1e-12)
         nrm = report.extra["norm"]
@@ -142,7 +143,7 @@ class TestReports:
         z, near = near_pair(rng, 2, 12, defect)
         report, cert = assemble_from_approximant(z, near)
         v = fresh_verify(cert, z)
-        assert (report.n, report.k, report.depth) == (2, 12, cert.d)
+        assert (report.target.n, report.target.k, report.depth) == (2, 12, cert.d)
         assert (report.cost, report.recon_error) == (v.cost, v.recon_error)
         assert report.passed == (v.passed and v.cost <= report.bound + 1e-6)
 
@@ -155,6 +156,28 @@ class TestConstructionsRegistry:
         assert CONSTRUCTIONS["lemma5"].applicable(2, 4)
         assert not CONSTRUCTIONS["lemma5"].applicable(3, 4)
         assert CONSTRUCTIONS["sub18"].applicable(3, 4)
+
+    def test_t13_returns_the_pinch_its_pipeline_verified(self, monkeypatch):
+        n, k = 3, 12
+        x = random_instance(n, k, seed=7)
+        calls, reports = [], []
+
+        def counted_pinch(*args):
+            calls.append(args)
+            return pinch(*args)
+
+        def kept_pipeline(*args, **kwargs):
+            report, cert = pinching_pipeline(*args, **kwargs)
+            reports.append(report)
+            return report, cert
+
+        monkeypatch.setattr(pipeline, "pinch", counted_pinch)
+        monkeypatch.setattr(pipeline, "pinching_pipeline", kept_pipeline)
+        _, target = CONSTRUCTIONS["t13"].build(x)
+        assert len(calls) == 1
+        assert len(reports) == 1 and target is reports[0].target
+        want = pinch(x, diagonal_partition(n, k))
+        assert target.blocks.tobytes() == want.blocks.tobytes()
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
     def test_each_construction_verifies(self, name):
