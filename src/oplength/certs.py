@@ -170,8 +170,10 @@ def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) ->
     any order lose at most a factor 1 - gamma_N = 1 - Nu/(1 - Nu), the
     square root 1 - u; so ||V - X|| <= r/((1 - u)**2 sqrt(1 - gamma_N)) <=
     r(1 + (2N + 4)u) for Nu <= 1/6, below fl(r g) as g >= 1 + (2N + 7)u.
-    (Squares of components under 2**-511 may underflow: an absolute error
-    below sqrt(N) 2**-537, seen only by a tol under 1e-150.)
+    The components are scaled by 2**-e, e = frexp(max |component|)[1], before
+    the dot and the root by 2**e after, which is exact, so r overflows only
+    where the norm itself does.  (Squares of scaled components under 2**-511
+    may underflow: an error below sqrt(N) 2**-536 relative to r, inside the margin.)
 
     The bound, the cost and ||x|| are kept on the certificate under x's
     shape and blake2b digest, so a repeat costs one hash; tol only enters
@@ -187,8 +189,10 @@ def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) ->
     key = (x.blocks.shape, hashlib.blake2b(np.ascontiguousarray(x.blocks)).digest())
     if key not in cert._verified:
         r = np.ravel(evaluate(cert).blocks - x.blocks).view(np.float64)
+        e = int(np.frexp(np.abs(r).max(initial=0.0))[1])
+        s = np.ldexp(r, -e)
         g = 1 + (2 * r.size + 8) * (np.finfo(float).eps / 2)
-        cert._verified[key] = (float(np.sqrt(r @ r)) * g, cost(cert), operator_norm(x))
+        cert._verified[key] = (float(np.ldexp(np.sqrt(s @ s), e)) * g, cost(cert), operator_norm(x))
     recon, c, lower = cert._verified[key]
     ratio = 0.0 if c == 0.0 else c / max(lower, np.finfo(float).tiny)
     return VerificationReport(

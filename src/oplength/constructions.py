@@ -148,7 +148,7 @@ class ProjectionPartition:
 
 
 def diagonal_partition(n: int, k: int) -> ProjectionPartition:
-    """The n diagonal-block projections of M_k (requires n | k)."""
+    """The n diagonal-block projections of M_k (requires n | k); 0/1 data, exact relations."""
     if k % n:
         raise ShapeMismatchError(f"the diagonal partition needs n | k, got n={n}, k={k}")
     eye = np.eye(n, dtype=np.complex128)
@@ -178,10 +178,12 @@ def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationC
     diagonal averages x against two constant-modulus unitaries, so each
     of its entries has norm at most ||x||.  Scalar factors are
     (identity, W, W, identity) with W the Fourier unitary of size n.
+    fam must satisfy its relations (exact for :func:`matrix_unit_family`,
+    checked in :func:`family_from_projections`); one that breaks them gives
+    a certificate that fails ``verify`` against [p x_ij q], never a false pass.
     """
     if x.m != x.n or x.n != fam.n or x.k != fam.k:
         raise ShapeMismatchError("matrix and family shapes disagree")
-    fam.validate()
     n, k = x.n, x.k
     W = fourier_unitary(n)
     eps = np.sqrt(n) * W.conj()  # symmetric: eps[i, k] and eps[k, j]
@@ -238,7 +240,7 @@ def projection_isometries(p: np.ndarray, n: int) -> np.ndarray:
 
 
 def family_from_projections(p: np.ndarray, q: np.ndarray, n: int) -> IsometryFamily:
-    """Isometry family compressing to [p x q], from orthogonal copies of p and q.
+    """Validated isometry family for [p x q], from orthogonal copies of p and q.
 
     When q has the bytes of p its isometries are those of p (copied, as
     the construction is deterministic), so they are built once.
@@ -248,14 +250,10 @@ def family_from_projections(p: np.ndarray, q: np.ndarray, n: int) -> IsometryFam
     v = projection_isometries(p, n)
     same = q.shape == p.shape and q.tobytes() == p.tobytes()
     w = v.copy() if same else projection_isometries(q, n)
-    return IsometryFamily(
-        p=p,
-        q=q,
-        a=v.conj().transpose(0, 2, 1),
-        b=v,
-        c=w.conj().transpose(0, 2, 1),
-        d=w,
-    )
+    fam = IsometryFamily(p=p, q=q, a=v.conj().transpose(0, 2, 1), b=v,
+                         c=w.conj().transpose(0, 2, 1), d=w)
+    fam.validate()
+    return fam
 
 
 def lift(x: BlockMatrix, e: np.ndarray) -> BlockMatrix:
@@ -287,7 +285,6 @@ def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     the trailing scalar is the inflated Fourier unitary; the product
     reproduces the row exactly and bounds its depth-1 cost by 1.
     """
-    part.validate()
     n, k = part.n, part.k
     W = fourier_unitary(n)
     eyen = np.eye(n, dtype=np.complex128)
@@ -314,7 +311,8 @@ def pinch_certificate(inner_certs, part: ProjectionPartition):
     construction's certificates of one shape do (:class:`UniformityError`
     otherwise), so the cost is at most the largest inner cost: the row
     decompositions are contractions and the direct sum of the rebalanced
-    inner certificates costs as much as its largest summand.
+    inner certificates costs as much as its largest summand.  part must be
+    a partition (exact for :func:`diagonal_partition`), else verify fails.
     """
     inner_certs = list(inner_certs)
     n = part.n

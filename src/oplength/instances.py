@@ -58,6 +58,9 @@ def random_instance(
         base = pinch(BlockMatrix(_complex_gaussian(rng, (n, n, k, k))), part)
         if noise == 0:
             return base
-        bump = BlockMatrix(_complex_gaussian(rng, (n, n, k, k)))
-        return base + noise * bump
+        with np.errstate(over="ignore"):
+            blocks = base.blocks + noise * _complex_gaussian(rng, (n, n, k, k))
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError(f"noise must keep the instance finite, got {noise}")
+        return BlockMatrix(blocks)
     raise ValueError(f"unknown distribution {distribution!r}")

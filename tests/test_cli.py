@@ -318,6 +318,8 @@ class TestCli:
         (["gen", "--n", "2", "--k", "2", "--noise", "nan"], "noise must be finite, got nan"),
         (["gen", "--n", "2", "--k", "2", "--distribution", "blockdiag", "--noise", "nan"],
          "noise must be finite, got nan"),
+        (["gen", "--n", "2", "--k", "2", "--distribution", "blockdiag", "--noise", "1e308"],
+         "noise must keep the instance finite, got 1e+308"),
         (["gen", "--n", "2", "--k", "2", "--seed", "-1"], "seed must be >= 0"),
         (["cb", "--xi-spec", "1,1", "--seed", "-1"], "seed must be >= 0"),
         (["bench", "--seed", "-1"], "seed must be >= 0"),
@@ -328,7 +330,8 @@ class TestCli:
     ], ids=["factor-t13-3x4", "factor-lemma5-3x4", "uniformity-t13-3x4", "gen-blockdiag-3x4",
             "bench-unknown-name", "bench-nothing-applicable", "bench-empty-range",
             "bench-zero-trials", "bench-bad-range-item", "cb-empty-spec", "cb-bad-spec",
-            "missing-file", "gen-nan-noise", "gen-blockdiag-nan-noise", "gen-negative-seed",
+            "missing-file", "gen-nan-noise", "gen-blockdiag-nan-noise",
+            "gen-blockdiag-overflowing-noise", "gen-negative-seed",
             "cb-negative-seed", "bench-negative-seed", "gen-missing-k",
             "factor-unknown-construction", "gen-bad-int"])
     def test_usage_error_is_one_stderr_line_naming_the_rule(self, tmp_path, capsys, argv, named):

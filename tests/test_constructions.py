@@ -30,9 +30,11 @@ from oplength import (
     operator_norm,
     pinch,
     pinch_certificate,
+    pinching_pipeline,
     partition_row_decomposition,
     projection_isometries,
     universal_depth1,
+    verify,
 )
 from oplength.constructions import partition_block_row
 from oplength.instances import random_instance
@@ -121,12 +123,43 @@ class TestFactorThroughFamily:
             assert np.linalg.norm(entry, 2) <= nx + 1e-9
 
     def test_bad_family_rejected(self, rng):
+        # a hand-built family is checked by validate(); its certificate fails verify
         n, k = 2, 4
         bad = random_block(rng, 1, n, k).blocks[0]
         fam = IsometryFamily(p=np.eye(k), q=np.eye(k), a=bad, b=bad, c=bad, d=bad)
-        x = random_block(rng, n, n, k)
         with pytest.raises(FamilyRelationError):
-            factor_through_family(x, fam)
+            fam.validate()
+        x = random_block(rng, n, n, k)
+        assert not verify(factor_through_family(x, fam), x).passed
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Counts of IsometryFamily.validate and ProjectionPartition.validate calls."""
+    calls = {"family": 0, "partition": 0}
+    for cls, key in ((IsometryFamily, "family"), (ProjectionPartition, "partition")):
+        def counted(self, _validate=cls.validate, _key=key):
+            calls[_key] += 1
+            return _validate(self)
+        monkeypatch.setattr(cls, "validate", counted)
+    return calls
+
+
+class TestRelationsCheckedWhereNumbersMakeThem:
+    def test_exact_families_and_partitions_are_not_checked(self, rng, validate_calls):
+        x = random_block(rng, 3, 3, 2)
+        corner_embedding_certificate(x, 2, 1)
+        diagonal_embedding_certificate(x)  # the sub19 build
+        assert validate_calls == {"family": 0, "partition": 0}
+
+    def test_family_from_projections_checks_once(self, validate_calls):
+        P = haar_rotated_partition(3, 12, 1)
+        family_from_projections(P[0], P[1], 3)
+        assert validate_calls == {"family": 1, "partition": 0}
+
+    def test_pinching_pipeline_checks_each_numerical_family(self, validate_calls):
+        pinching_pipeline(random_instance(3, 6, 2))
+        assert validate_calls == {"family": 3, "partition": 0}
 
 
 class TestMatrixUnitFamily:

@@ -187,6 +187,14 @@ class TestConstructionsRegistry:
         cert, target = spec.build(x)
         assert verify(cert, target, 1e-9).passed
 
+    @pytest.mark.parametrize("scale", [1e200, 2.0**-600])
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_each_construction_verifies_at_extreme_scale(self, name, scale):
+        # the residual's squares would overflow (1e200) or underflow (2**-600) unscaled
+        cert, target = CONSTRUCTIONS[name].build(random_instance(2, 4, 1) * scale)
+        report = verify(cert, target, 1e-9)
+        assert report.passed and np.isfinite(report.recon_error)
+
 
 class TestUniformity:
     @pytest.mark.parametrize("name", ["length1", "sub18", "sub19"])
