@@ -17,7 +17,6 @@ from oplength import (
     SimilarityHom,
     cb_lower_bound,
     derivation_check,
-    norm_lower,
     similarity_cb_check,
 )
 
@@ -25,7 +24,7 @@ xi = np.diag([10.0, 1.0, 1.0])
 u = SimilarityHom(xi)
 print(f"similarity map with xi = diag(10, 1, 1); oracle = {u.norm_upper():.4f}")
 for level in (1, 2, 3):
-    val = norm_lower(u, level, restarts=20, seed=0)
+    val = cb_lower_bound(u, level, restarts=20, seed=0).value
     print(f"  level {level}: lower bound {val:.6f}")
 
 check = similarity_cb_check(xi, level=3, restarts=50, seed=0)

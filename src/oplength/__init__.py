@@ -61,7 +61,6 @@ from .simhom import (
     SimilarityHom,
     cb_lower_bound,
     derivation_check,
-    norm_lower,
     similarity_cb_check,
 )
 from .splitting import MassPreconditionError, SpectralSplit, split_small_l2

@@ -256,8 +256,11 @@ def normalized_trace(x: np.ndarray) -> complex:
 
 
 def block_l2(x: BlockMatrix) -> float:
-    """L2 mass (sum_ij tau(x_ij* x_ij))**0.5 over the normalized trace."""
-    return float(np.linalg.norm(x.blocks) / np.sqrt(x.k))
+    """L2 mass (sum_ij tau(x_ij* x_ij))**0.5 over the normalized trace, scaled like verify's."""
+    r = np.ravel(x.blocks, order="K").view(np.float64)
+    e = int(np.frexp(np.abs(r).max(initial=0.0))[1])
+    s = np.ldexp(r, -e).view(np.complex128)
+    return float(np.ldexp(np.linalg.norm(s), e) / np.sqrt(x.k))
 
 
 def fourier_unitary(n: int) -> np.ndarray:

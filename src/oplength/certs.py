@@ -128,36 +128,32 @@ class VerificationReport:
         return asdict(self)
 
 
-def _product(alphas, diags, k: int) -> np.ndarray:
-    """The dense alternating product a_0 D_1 a_1 ... D_d a_d over M_k.
+def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
+    """The alternating product a_0 D_1 a_1 ... D_d a_d as a BlockMatrix.
 
     The product starts from the materialized inflation a_d (x) I_k; the
     other scalar factors are applied through the block structure rather
     than by materializing their inflations.
     """
-    M = np.kron(alphas[-1], np.eye(k))
-    for i in range(len(diags), 0, -1):
-        D = diags[i - 1].entries
+    k = cert.k
+    M = np.kron(cert.alphas[-1], np.eye(k))
+    for i in range(cert.d, 0, -1):
+        D = cert.diags[i - 1].entries
         N = D.shape[0]
         M = (D @ M.reshape(N, k, -1)).reshape(N * k, -1)
-        a = alphas[i - 1]
+        a = cert.alphas[i - 1]
         M = np.tensordot(a, M.reshape(N, k, -1), axes=(1, 0)).reshape(a.shape[0] * k, -1)
-    return M
-
-
-def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
-    """The alternating product a_0 D_1 a_1 ... D_d a_d as a BlockMatrix."""
-    return BlockMatrix.from_dense(_product(cert.alphas, cert.diags, cert.k), cert.k)
+    return BlockMatrix.from_dense(M, k)
 
 
 def cost(cert: FactorizationCertificate) -> float:
-    """Product of factor norms: scalar norms recomputed, diagonal norms kept on each diagonal."""
-    c = 1.0
-    for a in cert.alphas:
-        c *= scalar_norm(a)
-    for D in cert.diags:
-        c *= D.norm()
-    return c
+    """Product of factor norms (diagonals keep theirs), as mantissas times 2**(summed exponents)."""
+    c, e = 1.0, 0
+    for f in [scalar_norm(a) for a in cert.alphas] + [D.norm() for D in cert.diags]:
+        m, fe = np.frexp(f)
+        c, e = c * m, e + int(fe)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(c, e))
 
 
 def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) -> VerificationReport:
@@ -330,10 +326,6 @@ class RowDecomposition:
             raise ShapeMismatchError("row decomposition widths do not chain")
         object.__setattr__(self, "alpha0", a0)
         object.__setattr__(self, "w", w)
-
-    def as_block_matrix(self) -> BlockMatrix:
-        k = self.diag.k
-        return BlockMatrix.from_dense(_product((self.alpha0, self.w), (self.diag,), k), k)
 
 
 def conjugate(row: RowDecomposition, inner: FactorizationCertificate) -> FactorizationCertificate:

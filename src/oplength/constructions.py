@@ -294,14 +294,6 @@ def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     return RowDecomposition(alpha0, DiagonalMatrix(entries), np.kron(W, eyen))
 
 
-def partition_block_row(part: ProjectionPartition) -> BlockMatrix:
-    """The n x n**2 block row with entry delta_ij p_m at column (m, j)."""
-    n, k = part.n, part.k
-    blocks = np.zeros((n, n, n, k, k), dtype=np.complex128)  # row i, column (m, j)
-    blocks[np.arange(n), :, np.arange(n)] = part.projections
-    return BlockMatrix(blocks.reshape(n, n * n, k, k))
-
-
 def pinch_certificate(inner_certs, part: ProjectionPartition):
     """Depth d+2 certificate for [sum_m p_m X_m(i, j) p_m].
 

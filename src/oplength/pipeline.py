@@ -22,6 +22,7 @@ from .certs import (
     verify,
 )
 from .constructions import (
+    ProjectionPartition,
     _unit,
     corner_embedding_certificate,
     diagonal_embedding_certificate,
@@ -154,12 +155,9 @@ def _build_length1(x: BlockMatrix):
 
 def _build_compression(x: BlockMatrix):
     # compress through the leading diagonal-block projection (needs n | k)
-    part = diagonal_partition(x.n, x.k)
-    p = part.projections[0]
-    fam = family_from_projections(p, p, x.n)
-    cert = factor_through_family(x, fam)
-    target = BlockMatrix(np.einsum("ab,ijbc,cd->ijad", p, x.blocks, p, optimize=True))
-    return cert, target
+    P = diagonal_partition(x.n, x.k).projections
+    cert = factor_through_family(x, family_from_projections(P[0], P[0], x.n))
+    return cert, pinch(x, ProjectionPartition(P[:1]))
 
 
 def _build_corner(x: BlockMatrix):
@@ -177,7 +175,6 @@ def _build_pinched(x: BlockMatrix):
 
 @dataclass(frozen=True)
 class _Construction:
-    name: str
     build: callable
     needs_divisible: bool = False
 
@@ -188,11 +185,11 @@ class _Construction:
 
 
 CONSTRUCTIONS = {
-    "length1": _Construction("length1", _build_length1),
-    "lemma5": _Construction("lemma5", _build_compression, needs_divisible=True),
-    "sub18": _Construction("sub18", _build_corner),
-    "sub19": _Construction("sub19", _build_diag_embed),
-    "t13": _Construction("t13", _build_pinched, needs_divisible=True),
+    "length1": _Construction(_build_length1),
+    "lemma5": _Construction(_build_compression, needs_divisible=True),
+    "sub18": _Construction(_build_corner),
+    "sub19": _Construction(_build_diag_embed),
+    "t13": _Construction(_build_pinched, needs_divisible=True),
 }
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "InnerDerivation",
     "CbLowerBound",
     "cb_lower_bound",
-    "norm_lower",
     "similarity_cb_check",
     "derivation_check",
 ]
@@ -183,10 +182,6 @@ def cb_lower_bound(op, level: int, restarts: int = 50, seed: int = 0) -> CbLower
     return CbLowerBound(value=float(best_val), witness=best_X)
 
 
-def norm_lower(op, level: int, restarts: int = 50, seed: int = 0) -> float:
-    return cb_lower_bound(op, level, restarts, seed).value
-
-
 def similarity_cb_check(xi: np.ndarray, level: int, restarts: int = 50, seed: int = 0) -> dict:
     """Ascent lower bound vs the condition-number oracle for x -> xi^-1 x xi."""
     u = SimilarityHom(xi)
@@ -213,8 +208,8 @@ def derivation_check(
     "consistent with" the inequality, not a proof; the report says so.
     """
     delta = InnerDerivation(T)
-    l_cb = norm_lower(delta, level, restarts, seed)
-    l_1 = norm_lower(delta, 1, restarts, seed)
+    l_cb = cb_lower_bound(delta, level, restarts, seed).value
+    l_1 = cb_lower_bound(delta, 1, restarts, seed).value
     vacuous = l_cb == 0.0 and l_1 == 0.0
     bound = K * d * l_1 * 1.05
     return {

@@ -15,6 +15,7 @@ import pytest
 from oplength import (
     CONSTRUCTIONS,
     block_l2,
+    cb_lower_bound,
     cost,
     diagonal_embedding_certificate,
     diagonal_partition,
@@ -22,7 +23,6 @@ from oplength import (
     evaluate,
     factor_through_family,
     family_from_projections,
-    norm_lower,
     operator_norm,
     pad,
     pinch,
@@ -34,7 +34,8 @@ from oplength import (
     verify,
     SimilarityHom,
 )
-from oplength.constructions import partition_block_row, partition_row_decomposition
+from oplength.blocks import block_diag
+from oplength.constructions import partition_row_decomposition
 from oplength.instances import random_instance
 from oplength.pipeline import assemble_from_approximant
 
@@ -74,7 +75,7 @@ def test_01_reconstruction_suite():
     worst = 0.0
     checked = 0
     for x in _instances(100):
-        for spec in CONSTRUCTIONS.values():
+        for name, spec in CONSTRUCTIONS.items():
             if not spec.applicable(x.n, x.k):
                 continue
             cert, target = spec.build(x)
@@ -83,7 +84,7 @@ def test_01_reconstruction_suite():
             worst = max(worst, rep.recon_error)
             checked += 1
             if not rep.passed:
-                _report(1, False, f"{spec.name} failed on n={x.n}, k={x.k}")
+                _report(1, False, f"{name} failed on n={x.n}, k={x.k}")
     dt = time.perf_counter() - t0
     ok = worst <= 1e-9 and dt < 60
     _report(1, ok, f"{checked} certificates, worst rel err {worst:.2e}, {dt:.1f}s")
@@ -140,7 +141,11 @@ def test_05_row_identity_and_depth5():
     for n, k in [(2, 4), (3, 6), (4, 8)]:
         part = diagonal_partition(n, k)
         row = partition_row_decomposition(part)
-        res = operator_norm(row.as_block_matrix() - partition_block_row(part))
+        # the n x n**2 block row with entry delta_ij p_m at column (m, j), built densely
+        dense_row = np.hstack([np.kron(np.eye(n), pm) for pm in part.projections])
+        eye = np.eye(k)
+        product = np.kron(row.alpha0, eye) @ block_diag(row.diag.entries) @ np.kron(row.w, eye)
+        res = operator_norm(product - dense_row)
         worst_res = max(worst_res, res)
     worst_cost = 0.0
     ok_depth = True
@@ -262,7 +267,7 @@ def test_11_cb_similarity_oracle():
         for c in (2.0, 10.0):
             xi = np.diag([c] + [1.0] * (k - 1))
             t0 = time.perf_counter()
-            lower = norm_lower(SimilarityHom(xi), level=k, restarts=50, seed=0)
+            lower = cb_lower_bound(SimilarityHom(xi), level=k, restarts=50, seed=0).value
             dt = time.perf_counter() - t0
             good = 0.98 * c <= lower <= c * (1 + 1e-6) and dt < 30
             ok = ok and good

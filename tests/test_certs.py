@@ -73,16 +73,6 @@ class TestEvaluateAndCost:
             cert = random_certificate(rng)
             assert cost(cert) >= operator_norm(evaluate(cert)) - 1e-9
 
-    @pytest.mark.parametrize("m,N,n,k", [(1, 1, 1, 1), (2, 3, 4, 2), (3, 9, 9, 3), (4, 2, 5, 4)])
-    def test_row_block_matrix_matches_dense_product(self, m, N, n, k):
-        rng = np.random.default_rng(m * 1000 + N * 100 + n * 10 + k)
-        a0, w = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((m, N), (N, n)))
-        entries = random_block(rng, 1, N, k).blocks[0]
-        row = RowDecomposition(a0, DiagonalMatrix(entries), w)
-        eye = np.eye(k)
-        dense = np.kron(a0, eye) @ block_diag(entries) @ np.kron(w, eye)
-        assert np.abs(row.as_block_matrix().dense() - dense).max() <= 1e-12
-
     def test_shape_mismatch_rejected(self, rng):
         cert = random_certificate(rng)
         bad = cert.alphas[:-1] + (np.ones((99, 2), dtype=complex),)
@@ -314,9 +304,9 @@ class TestConjugate:
         inner = random_certificate(rng, n=n, k=k)
         a0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         diag = DiagonalMatrix(random_block(rng, 1, n, k).blocks[0])
-        row = RowDecomposition(a0, diag, fourier_unitary(n))
-        out = conjugate(row, inner)
-        L = row.as_block_matrix().dense()
+        W = fourier_unitary(n)
+        out = conjugate(RowDecomposition(a0, diag, W), inner)
+        L = np.kron(a0, np.eye(k)) @ block_diag(diag.entries) @ np.kron(W, np.eye(k))
         expected = L @ evaluate(inner).dense() @ L.conj().T
         assert operator_norm(evaluate(out).dense() - expected) <= 1e-10
 

@@ -233,6 +233,21 @@ class TestCli:
         assert doc["cost"] is None and doc["ratio"] is None
         assert doc["recon_error"] <= 1e-9 and not doc["passed"]
 
+    @pytest.mark.parametrize("d, value, want", [(1e-300, 1e100, 9.999999999999998e99),
+                                                (0.0, 0.0, 0.0)], ids=["tiny", "zero"])
+    def test_finite_cost_behind_overflowing_scalars_verifies(self, tmp_path, capsys, d, value,
+                                                             want):
+        # cost 1e200 * 1e200 * d: the two scalar norms alone overflow
+        eye = np.eye(2)
+        cert = FactorizationCertificate((1e200 * eye, 1e200 * eye),
+                                        (DiagonalMatrix(np.stack([d * eye] * 2)),))
+        inst = tmp_path / "x.json"
+        inst.write_text(instance_to_json(BlockMatrix.from_dense(value * np.eye(4), 2)))
+        path = tmp_path / "cert.json"
+        path.write_text(certificate_to_json(cert))
+        assert main(["verify", "--instance", str(inst), "--certificate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] == want
+
     def test_non_finite_factor_named_on_load(self, tmp_path, capsys):
         inst, cert = self.overflow_files(tmp_path)
         doc = json.loads(cert.read_text())

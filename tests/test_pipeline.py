@@ -1,5 +1,7 @@
 """Assembled pipelines, uniformity checks, and direct-sum certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,15 @@ class TestPinchingPipeline:
         x = random_block(rng, 3, 3, 4)
         with pytest.raises(ShapeMismatchError):
             pinching_pipeline(x)
+
+    def test_large_input_keeps_a_finite_epsilon(self):
+        # the unscaled sum of squares of x - pinch(x) would overflow
+        x = random_instance(3, 12, 7, "blockdiag", 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _ = pinching_pipeline(x * 1e200)
+        assert report.passed
+        assert report.epsilon == pytest.approx(1e200 * pinching_pipeline(x)[0].epsilon, rel=1e-12)
 
     def test_total_bound_option(self, rng):
         x = random_block(rng, 2, 2, 12)

@@ -9,7 +9,6 @@ from oplength import (
     SimilarityHom,
     cb_lower_bound,
     derivation_check,
-    norm_lower,
     operator_norm,
     similarity_cb_check,
 )
@@ -178,8 +177,8 @@ class TestCbLowerBound:
 
     def test_monotone_in_level(self):
         u = SimilarityHom(np.diag([3.0, 1.0]))
-        v1 = norm_lower(u, 1, restarts=10, seed=3)
-        v2 = norm_lower(u, 2, restarts=10, seed=3)
+        v1 = cb_lower_bound(u, 1, restarts=10, seed=3).value
+        v2 = cb_lower_bound(u, 2, restarts=10, seed=3).value
         assert v2 >= v1 - 1e-10
 
     def test_similarity_oracle_attained(self):
