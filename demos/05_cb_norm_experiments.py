@@ -12,13 +12,7 @@ condition number of xi, attained at level k -- an exact oracle.
 
 import numpy as np
 
-from oplength import (
-    InnerDerivation,
-    SimilarityHom,
-    cb_lower_bound,
-    derivation_check,
-    similarity_cb_check,
-)
+from oplength import SimilarityHom, cb_lower_bound, similarity_cb_check
 
 xi = np.diag([10.0, 1.0, 1.0])
 u = SimilarityHom(xi)
@@ -34,14 +28,4 @@ bound = cb_lower_bound(u, level=3, restarts=20, seed=0)
 print(
     f"witness: level {bound.witness.shape[0] // u.k}, input norm "
     f"{np.linalg.norm(bound.witness, 2):.4f} <= 1"
-)
-
-# Derivations x -> xT - Tx: both sides of the comparison are lower
-# bounds, so the result is observational, never a proof.
-T = np.array([[0.0, 1.0], [0.0, 0.0]])
-report = derivation_check(T, K=1.0, d=3, level=2, restarts=20)
-print(
-    f"derivation check: cb lower {report['lower_cb']:.4f} vs bound "
-    f"{report['bound']:.4f}; consistent = {report['consistent']}, "
-    f"proved = {report['proved']}"
 )

@@ -57,10 +57,8 @@ from .pipeline import (
 )
 from .simhom import (
     CbLowerBound,
-    InnerDerivation,
     SimilarityHom,
     cb_lower_bound,
-    derivation_check,
     similarity_cb_check,
 )
 from .splitting import MassPreconditionError, SpectralSplit, split_small_l2

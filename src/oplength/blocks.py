@@ -1,8 +1,8 @@
 """Block-matrix arithmetic over the matrix algebras M_k.
 
 Elements of the base algebra are plain ``(k, k)`` complex ndarrays.  A
-:class:`BlockMatrix` is an ``m x n`` array of such blocks; its value is
-entirely determined by the inflated ``(m*k, n*k)`` complex matrix, the
+:class:`BlockMatrix` is an ``n x n`` array of such blocks; its value is
+entirely determined by the inflated ``(n*k, n*k)`` complex matrix, the
 block bookkeeping only records how it is partitioned.  Scalar matrices
 act on block matrices by inflation, i.e. tensoring with the identity of
 the base algebra, which leaves their operator norm unchanged.
@@ -42,8 +42,8 @@ class HermitianError(ValueError):
 
 def _as_blocks(blocks) -> np.ndarray:
     b = np.array(blocks, dtype=np.complex128)
-    if b.ndim != 4 or b.shape[2] != b.shape[3]:
-        raise ShapeMismatchError(f"expected (m, n, k, k) blocks, got {b.shape}")
+    if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
+        raise ShapeMismatchError(f"expected (n, n, k, k) blocks, got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("non-finite entries")
     return b
@@ -51,20 +51,16 @@ def _as_blocks(blocks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """An m x n matrix of k x k complex blocks.
+    """An n x n matrix of k x k complex blocks.
 
     Immutable; all operations return new values.
     """
 
-    blocks: np.ndarray  # shape (m, n, k, k)
+    blocks: np.ndarray  # shape (n, n, k, k)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", _as_blocks(self.blocks))
         self.blocks.setflags(write=False)
-
-    @property
-    def m(self) -> int:
-        return self.blocks.shape[0]
 
     @property
     def n(self) -> int:
@@ -84,9 +80,9 @@ class BlockMatrix:
         return cls(blocks)
 
     def dense(self) -> np.ndarray:
-        """The inflated (m*k, n*k) complex matrix."""
-        m, n, k, _ = self.blocks.shape
-        return self.blocks.transpose(0, 2, 1, 3).reshape(m * k, n * k)
+        """The inflated (n*k, n*k) complex matrix."""
+        n, k = self.n, self.k
+        return self.blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
     def _matching(self, other: "BlockMatrix") -> np.ndarray:
         # numpy would broadcast mismatched shapes instead of failing

@@ -177,10 +177,10 @@ def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) ->
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    if x.m != x.n or cert.n != x.n or cert.k != x.k:
+    if cert.n != x.n or cert.k != x.k:
         raise ShapeMismatchError(
             f"certificate shape ({cert.n}, k={cert.k}) does not match "
-            f"target ({x.m}x{x.n}, k={x.k})"
+            f"target ({x.n}x{x.n}, k={x.k})"
         )
     key = (x.blocks.shape, hashlib.blake2b(np.ascontiguousarray(x.blocks)).digest())
     if key not in cert._verified:

@@ -156,14 +156,12 @@ def diagonal_partition(n: int, k: int) -> ProjectionPartition:
 
 
 def universal_depth1(x: BlockMatrix) -> FactorizationCertificate:
-    """Depth-1 certificate for any square x, with cost n * max_ij ||x_ij||.
+    """Depth-1 certificate for any x, with cost n * max_ij ||x_ij||.
 
     The entries of x are spread on a diagonal of size n**2 indexed
     row-major; the two scalar factors are 0/1 matrices depending only
     on n.
     """
-    if x.m != x.n:
-        raise ShapeMismatchError("input must be square")
     n, k = x.n, x.k
     eye, ones = np.eye(n, dtype=np.complex128), np.ones((1, n), dtype=np.complex128)
     # a0[i, i * n + t] = 1 and a1[t * n + i, i] = 1
@@ -182,7 +180,7 @@ def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationC
     checked in :func:`family_from_projections`); one that breaks them gives
     a certificate that fails ``verify`` against [p x_ij q], never a false pass.
     """
-    if x.m != x.n or x.n != fam.n or x.k != fam.k:
+    if x.n != fam.n or x.k != fam.k:
         raise ShapeMismatchError("matrix and family shapes disagree")
     n, k = x.n, x.k
     W = fourier_unitary(n)
@@ -260,7 +258,7 @@ def lift(x: BlockMatrix, e: np.ndarray) -> BlockMatrix:
     """The matrix [x_ij (x) e] over M_p(B) for a p x p scalar matrix e."""
     p, kB = e.shape[0], x.k
     return BlockMatrix(
-        np.einsum("ab,ijcd->ijacbd", e, x.blocks).reshape(x.m, x.n, p * kB, p * kB)
+        np.einsum("ab,ijcd->ijacbd", e, x.blocks).reshape(x.n, x.n, p * kB, p * kB)
     )
 
 
@@ -271,8 +269,6 @@ def corner_embedding_certificate(x: BlockMatrix, r: int, s: int) -> Factorizatio
     compression of the matrix-unit family reproduces x_ij (x) e_rs; the
     lift has the same operator norm as x.
     """
-    if x.m != x.n:
-        raise ShapeMismatchError("input must be square")
     fam = matrix_unit_family(x.k, x.n, r, s)
     return factor_through_family(lift(x, _unit(x.n, s - 1, r - 1)), fam)
 
@@ -339,8 +335,6 @@ def diagonal_embedding_certificate(x: BlockMatrix) -> FactorizationCertificate:
     Composes the corner embeddings at the n diagonal corners with the
     pinch by the diagonal matrix-unit partition of M_n(B).
     """
-    if x.m != x.n:
-        raise ShapeMismatchError("input must be square")
     part = diagonal_partition(x.n, x.n * x.k)
     cert, _ = pinch_assembly(
         x, part, lambda xs, m: corner_embedding_certificate(xs, m + 1, m + 1)

@@ -127,8 +127,6 @@ def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
     Returns ``(report, certificate)``; ``report.target`` is the pinched matrix.
     """
     n, k = x.n, x.k
-    if x.m != n:
-        raise ShapeMismatchError("input must be square")
     part = diagonal_partition(n, k)
     px = pinch(x, part)
     P = part.projections
@@ -138,8 +136,9 @@ def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
     eps = block_l2(x - px)
     report = _report(cert, px, eps, nrm * (1 + 1e-9), 1e-12,
                      {"pinch_invariant": eps == 0.0, "norm": nrm})
-    if include_total_bound and nrm > 0:
-        total_report, _ = assemble_from_approximant(x * (1.0 / nrm), cert.scaled(1.0 / nrm))
+    if include_total_bound:
+        s = 1.0 / nrm if nrm > 0 else 1.0
+        total_report, _ = assemble_from_approximant(x * s, cert.scaled(s))
         report.extra.update(total_cost=total_report.cost, total_bound=total_report.bound,
                             total_passed=total_report.passed)
     return report, cert
@@ -240,7 +239,7 @@ def direct_sum_certificate(xs, construction: str):
         raise ValueError("empty family")
     n, k = xs[0].n, xs[0].k
     for x in xs:
-        if x.n != n or x.m != n or x.k != k:
+        if x.n != n or x.k != k:
             raise ShapeMismatchError("coordinates must share a common shape")
     spec = CONSTRUCTIONS[construction]
     certs, targets = zip(*(spec.build(x) for x in xs))

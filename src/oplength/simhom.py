@@ -22,21 +22,10 @@ from .blocks import operator_norm
 
 __all__ = [
     "SimilarityHom",
-    "InnerDerivation",
     "CbLowerBound",
     "cb_lower_bound",
     "similarity_cb_check",
-    "derivation_check",
 ]
-
-
-def _square_finite(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
-    return a
 
 
 @dataclass(frozen=True)
@@ -46,7 +35,11 @@ class SimilarityHom:
     xi: np.ndarray
 
     def __post_init__(self):
-        xi = _square_finite(self.xi, "xi")
+        xi = np.asarray(self.xi, dtype=np.complex128)
+        if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
+            raise ValueError("xi must be square")
+        if not np.all(np.isfinite(xi)):
+            raise ValueError("xi has non-finite entries")
         if not np.linalg.cond(xi) <= 1e14:  # a NaN condition number fails too
             raise ValueError("xi is singular or numerically singular")
         object.__setattr__(self, "xi", xi)
@@ -68,29 +61,6 @@ class SimilarityHom:
     def norm_upper(self) -> float:
         """The certified upper bound ||xi|| * ||xi^-1|| (also the cb norm)."""
         return operator_norm(self.xi) * operator_norm(self._xi_inv)
-
-
-@dataclass(frozen=True)
-class InnerDerivation:
-    """The inner derivation x -> xT - Tx on M_k (identity representation)."""
-
-    T: np.ndarray
-
-    def __post_init__(self):
-        T = _square_finite(self.T, "T")
-        object.__setattr__(self, "T", T)
-        # || |x| |T| + |T| |x| || <= _abs_scale ||x||_F, for cb_lower_bound's margin
-        object.__setattr__(self, "_abs_scale", 2 * np.linalg.norm(T))
-
-    @property
-    def k(self) -> int:
-        return self.T.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.T - self.T @ x
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return y @ self.T.conj().T - self.T.conj().T @ y
 
 
 @dataclass(frozen=True)
@@ -194,31 +164,4 @@ def similarity_cb_check(xi: np.ndarray, level: int, restarts: int = 50, seed: in
         "restarts": restarts,
         "consistent": bool(bound.value <= oracle * (1 + 1e-6)),
         "tight": bool(bound.value >= 0.98 * oracle),
-    }
-
-
-def derivation_check(
-    T: np.ndarray, K: float, d: int, level: int, restarts: int = 50, seed: int = 0
-) -> dict:
-    """Observational check that the cb norm of x -> xT - Tx stays below K*d times its norm.
-
-    The bound allows 5% slack over ``K * d`` times the level-1 lower bound.
-
-    Both sides are alternating-ascent *lower* bounds, so a pass means
-    "consistent with" the inequality, not a proof; the report says so.
-    """
-    delta = InnerDerivation(T)
-    l_cb = cb_lower_bound(delta, level, restarts, seed).value
-    l_1 = cb_lower_bound(delta, 1, restarts, seed).value
-    vacuous = l_cb == 0.0 and l_1 == 0.0
-    bound = K * d * l_1 * 1.05
-    return {
-        "lower_cb": l_cb,
-        "lower_level1": l_1,
-        "K": K,
-        "d": d,
-        "bound": bound,
-        "vacuous": vacuous,
-        "consistent": bool(vacuous or l_cb <= bound),
-        "proved": False,
     }

@@ -9,9 +9,14 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def random_entries(rng, N, k):
+    """N standard complex Gaussian (k, k) blocks, as the entries of a DiagonalMatrix."""
+    z = rng.standard_normal((N, k, k)) + 1j * rng.standard_normal((N, k, k))
+    return z / np.sqrt(2)
+
+
 def random_block(rng, m, n, k):
-    z = rng.standard_normal((m, n, k, k)) + 1j * rng.standard_normal((m, n, k, k))
-    return BlockMatrix(z / np.sqrt(2))
+    return BlockMatrix(random_entries(rng, m * n, k).reshape(m, n, k, k))
 
 
 def random_hermitian(rng, k):
@@ -26,6 +31,6 @@ def random_certificate(rng, n=2, k=2, d=2, widths=(3, 4)):
         for i in range(d + 1)
     )
     diags = tuple(
-        DiagonalMatrix(random_block(rng, 1, ws[i + 1], k).blocks[0]) for i in range(d)
+        DiagonalMatrix(random_entries(rng, ws[i + 1], k)) for i in range(d)
     )
     return FactorizationCertificate(alphas, diags)

@@ -22,7 +22,7 @@ from oplength import (
 
 from oplength.blocks import block_diag
 
-from conftest import random_block, random_hermitian
+from conftest import random_block, random_entries, random_hermitian
 
 
 def power_iteration_norm(dense, steps=10_000, seed=0):
@@ -149,7 +149,7 @@ class TestTrace:
 
 class TestBlockL2:
     def test_zero(self):
-        assert block_l2(BlockMatrix(np.zeros((2, 3, 4, 4)))) == 0.0
+        assert block_l2(BlockMatrix(np.zeros((2, 2, 4, 4)))) == 0.0
 
     def test_single_unitary_block(self):
         blocks = np.zeros((2, 2, 3, 3), dtype=complex)
@@ -211,6 +211,12 @@ class TestAlgebraInvariants:
         with pytest.raises(ShapeMismatchError, match=r"\(1, 1, 1, 1\) vs \(2, 2, 2, 2\)"):
             getattr(BlockMatrix(np.zeros((1, 1, 1, 1))), op)(BlockMatrix(np.ones((2, 2, 2, 2))))
 
+    def test_non_square_refused(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(n, n, k, k\) blocks, got \(2, 3, 4, 4\)"):
+            BlockMatrix(np.zeros((2, 3, 4, 4)))
+        with pytest.raises(ShapeMismatchError, match=r"\(n, n, k, k\) blocks, got \(2, 3, 2, 2\)"):
+            BlockMatrix.from_dense(np.zeros((4, 6)), 2)
+
     def test_cstar_identity(self, rng):
         x = random_block(rng, 3, 3, 3)
         n = operator_norm(x)
@@ -218,7 +224,7 @@ class TestAlgebraInvariants:
         assert abs(nsq - n * n) <= 1e-9 * max(1.0, n * n)
 
     def test_diagonal_norm_is_max_entry_norm(self, rng):
-        entries = random_block(rng, 1, 5, 3).blocks[0]
+        entries = random_entries(rng, 5, 3)
         D = DiagonalMatrix(entries)
         expected = max(np.linalg.norm(e, 2) for e in entries)
         assert D.norm() == pytest.approx(expected)
@@ -226,7 +232,7 @@ class TestAlgebraInvariants:
 
 
 def _repeated_diagonal(case, k, rng):
-    base = random_block(rng, 1, 3, k).blocks[0]
+    base = random_entries(rng, 3, k)
     if case == "repeat":
         return DiagonalMatrix(np.repeat(base, 4, axis=0))
     if case == "unit":

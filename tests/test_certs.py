@@ -29,7 +29,7 @@ from oplength import certs
 from oplength.blocks import block_diag, scalar_norm
 from oplength.certs import rebalance
 
-from conftest import random_block, random_certificate
+from conftest import random_block, random_certificate, random_entries
 
 
 class TestEvaluateAndCost:
@@ -140,7 +140,7 @@ class TestAlgebraProperties:
                                    widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
         N = int(rng.integers(1, 5))
         a0, w = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((m, N), (N, n)))
-        entries = random_block(rng, 1, N, k).blocks[0]
+        entries = random_entries(rng, N, k)
         row = RowDecomposition(a0, DiagonalMatrix(entries), w)
         out = conjugate(row, inner)
         eye = np.eye(k)
@@ -303,7 +303,7 @@ class TestConjugate:
         n, k = 2, 2
         inner = random_certificate(rng, n=n, k=k)
         a0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        diag = DiagonalMatrix(random_block(rng, 1, n, k).blocks[0])
+        diag = DiagonalMatrix(random_entries(rng, n, k))
         W = fourier_unitary(n)
         out = conjugate(RowDecomposition(a0, diag, W), inner)
         L = np.kron(a0, np.eye(k)) @ block_diag(diag.entries) @ np.kron(W, np.eye(k))

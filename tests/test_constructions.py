@@ -39,7 +39,7 @@ from oplength import (
 from oplength.blocks import block_diag
 from oplength.instances import random_instance
 
-from conftest import random_block
+from conftest import random_block, random_entries
 
 
 def entry_max(x):
@@ -125,7 +125,7 @@ class TestFactorThroughFamily:
     def test_bad_family_rejected(self, rng):
         # a hand-built family is checked by validate(); its certificate fails verify
         n, k = 2, 4
-        bad = random_block(rng, 1, n, k).blocks[0]
+        bad = random_entries(rng, n, k)
         fam = IsometryFamily(p=np.eye(k), q=np.eye(k), a=bad, b=bad, c=bad, d=bad)
         with pytest.raises(FamilyRelationError):
             fam.validate()
@@ -405,7 +405,7 @@ class TestPinchCertificate:
         inners = []
         for _ in range(n):
             diags = tuple(
-                DiagonalMatrix(random_block(rng, 1, w, k).blocks[0]) for w in widths[1:-1]
+                DiagonalMatrix(random_entries(rng, w, k)) for w in widths[1:-1]
             )
             c = FactorizationCertificate(alphas, diags)
             # inner costs up to 100: the bound needs no cost <= 1

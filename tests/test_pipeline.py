@@ -99,6 +99,13 @@ class TestPinchingPipeline:
         assert report.passed
         assert report.cost == 0.0
 
+    def test_zero_input_carries_the_total_bound(self):
+        # the report's keys do not depend on the input's value
+        x = BlockMatrix(np.zeros((2, 2, 4, 4)))
+        report, _ = pinching_pipeline(x, include_total_bound=True)
+        assert report.extra == {"pinch_invariant": True, "norm": 0.0, "total_cost": 0.0,
+                                "total_bound": 2.0, "total_passed": True}
+
     def test_indivisible_order_rejected(self, rng):
         x = random_block(rng, 3, 3, 4)
         with pytest.raises(ShapeMismatchError):
