@@ -3,7 +3,6 @@
 from .blocks import (
     BlockMatrix,
     DiagonalMatrix,
-    HermitianError,
     ShapeMismatchError,
     block_l2,
     fourier_unitary,
@@ -27,8 +26,6 @@ from .certs import (
     verify,
 )
 from .constructions import (
-    CapacityError,
-    FamilyRelationError,
     IsometryFamily,
     ProjectionPartition,
     corner_embedding_certificate,
@@ -61,6 +58,6 @@ from .simhom import (
     cb_lower_bound,
     similarity_cb_check,
 )
-from .splitting import MassPreconditionError, SpectralSplit, split_small_l2
+from .splitting import SpectralSplit, split_small_l2
 
 __version__ = "0.1.0"

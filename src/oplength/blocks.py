@@ -19,7 +19,6 @@ __all__ = [
     "BlockMatrix",
     "DiagonalMatrix",
     "ShapeMismatchError",
-    "HermitianError",
     "block_diag",
     "scalar_norm",
     "operator_norm",
@@ -34,10 +33,6 @@ __all__ = [
 
 class ShapeMismatchError(ValueError):
     """Block shapes or orders do not chain."""
-
-
-class HermitianError(ValueError):
-    """Input expected to be Hermitian is not."""
 
 
 def _as_blocks(blocks) -> np.ndarray:
@@ -192,7 +187,7 @@ def _check_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
     if np.abs(a - a.conj().T).max(initial=0.0) > 1e-10 * scale:
-        raise HermitianError("input is not Hermitian within tolerance")
+        raise ValueError("input is not Hermitian within tolerance")
     return a
 
 

@@ -12,6 +12,7 @@ witness upper bounds.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -65,8 +66,10 @@ class FactorizationCertificate:
     def __post_init__(self):
         alphas = tuple(np.array(a, dtype=np.complex128) for a in self.alphas)
         diags = tuple(self.diags)
-        if any(a.ndim != 2 for a in alphas):
-            raise ShapeMismatchError("scalar factors must be matrices")
+        for i, a in enumerate(alphas):
+            if a.ndim != 2:
+                raise ShapeMismatchError(f"alphas[{i}]: scalar factors must be matrices")
+            a.setflags(write=False)
         if len(alphas) != len(diags) + 1 or not diags:
             raise ShapeMismatchError("need d diagonals and d+1 scalar factors, d >= 1")
         for i, D in enumerate(diags):
@@ -83,8 +86,6 @@ class FactorizationCertificate:
             raise ShapeMismatchError("outer shape is not square")
         if alphas[0].shape[0] == 0:
             raise ShapeMismatchError("zero outer width")
-        for a in alphas:
-            a.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "diags", diags)
 
@@ -146,14 +147,20 @@ def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
     return BlockMatrix.from_dense(M, k)
 
 
+def _times_norms(a, norms):
+    """a * (product of norms) by exact exponents: a * math.prod(norms) bit for bit while normal."""
+    fm, fe = np.frexp(norms)
+    m, e = math.prod(fm.tolist()), int(fe.sum())
+    a = a[..., None] * m  # a new array; a trailing axis makes the float64 view legal in any layout
+    np.ldexp(a.view(np.float64), e, out=a.view(np.float64))
+    return a[..., 0]
+
+
 def cost(cert: FactorizationCertificate) -> float:
-    """Product of factor norms (diagonals keep theirs), as mantissas times 2**(summed exponents)."""
-    c, e = 1.0, 0
-    for f in [scalar_norm(a) for a in cert.alphas] + [D.norm() for D in cert.diags]:
-        m, fe = np.frexp(f)
-        c, e = c * m, e + int(fe)
+    """Product of factor norms (diagonals keep theirs), exact in the exponent."""
+    norms = [scalar_norm(a) for a in cert.alphas] + [D.norm() for D in cert.diags]
     with np.errstate(over="ignore"):
-        return float(np.ldexp(c, e))
+        return float(_times_norms(np.float64(1.0), norms))
 
 
 def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) -> VerificationReport:
@@ -190,7 +197,8 @@ def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) ->
         g = 1 + (2 * r.size + 8) * (np.finfo(float).eps / 2)
         cert._verified[key] = (float(np.ldexp(np.sqrt(s @ s), e)) * g, cost(cert), operator_norm(x))
     recon, c, lower = cert._verified[key]
-    ratio = 0.0 if c == 0.0 else c / max(lower, np.finfo(float).tiny)
+    with np.errstate(over="ignore"):  # a zero target makes the ratio inf
+        ratio = 0.0 if c == 0.0 else c / max(lower, np.finfo(float).tiny)
     return VerificationReport(
         recon_error=recon,
         cost=c,
@@ -214,15 +222,15 @@ def pad_to(cert: FactorizationCertificate, depth: int) -> FactorizationCertifica
 
 
 def _unit_diags(diags):
-    """Each nonzero diagonal divided by its norm, and the product of those norms."""
-    scale, out = 1.0, []
+    """Each nonzero diagonal divided by its norm, and those norms."""
+    norms, out = [], []
     for D in diags:
         nD = D.norm()
         if nD > 0:
-            scale *= nD
+            norms.append(nD)
             D = D.scaled(1.0 / nD)
         out.append(D)
-    return out, scale
+    return out, norms
 
 
 def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
@@ -232,15 +240,15 @@ def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
     cost with a_d.  Zero factors are left in place (the value is then
     zero regardless).
     """
-    diags, scale = _unit_diags(cert.diags)
+    diags, norms = _unit_diags(cert.diags)
     alphas = [cert.alphas[0]]
     for a in cert.alphas[1:]:
         na = scalar_norm(a)
         if na > 0:
-            scale *= na
+            norms.append(na)
             a = a / na
         alphas.append(a)
-    alphas[0] = alphas[0] * scale
+    alphas[0] = _times_norms(alphas[0], norms)
     c = scalar_norm(alphas[0])
     if c != 0:
         alphas[0], alphas[-1] = alphas[0] / np.sqrt(c), alphas[-1] * np.sqrt(c)
@@ -254,8 +262,10 @@ def rebalance_diags(cert: FactorizationCertificate) -> FactorizationCertificate:
     do not multiply up across positions, while the scalar data stays
     untouched (it must remain independent of the input values, bitwise).
     """
-    diags, scale = _unit_diags(cert.diags[1:])
-    return FactorizationCertificate(cert.alphas, (cert.diags[0].scaled(scale), *diags))
+    diags, norms = _unit_diags(cert.diags[1:])
+    one = math.prod(norms) == 1  # the test scaled(1) made: a plain product of 1 keeps the diagonal
+    first = cert.diags[0] if one else DiagonalMatrix(_times_norms(cert.diags[0].entries, norms))
+    return FactorizationCertificate(cert.alphas, (first, *diags))
 
 
 def _check_same_scalars(cert: FactorizationCertificate, ref: FactorizationCertificate, where: str):

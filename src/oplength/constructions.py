@@ -33,8 +33,6 @@ from .certs import (
 __all__ = [
     "IsometryFamily",
     "ProjectionPartition",
-    "FamilyRelationError",
-    "CapacityError",
     "universal_depth1",
     "factor_through_family",
     "matrix_unit_family",
@@ -53,14 +51,6 @@ __all__ = [
 
 # Absolute tolerance on the algebraic relations of families, partitions and projections.
 _RELATION_TOL = 1e-10
-
-
-class FamilyRelationError(ValueError):
-    """Isometry-family relations violated beyond tolerance."""
-
-
-class CapacityError(ValueError):
-    """The algebra is too small to host the requested orthogonal copies."""
 
 
 def _product_excess(left: np.ndarray, right: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -101,15 +91,15 @@ class IsometryFamily:
         """Check the four relations, each by one stacked GEMM (see :func:`_product_excess`)."""
         n, k = self.n, self.k
         if _product_excess(self.a, self.b, self.p).max() > _RELATION_TOL:
-            raise FamilyRelationError("a_i b_j != delta_ij p")
+            raise ValueError("a_i b_j != delta_ij p")
         if _product_excess(self.c, self.d, self.q).max() > _RELATION_TOL:
-            raise FamilyRelationError("c_i d_j != delta_ij q")
+            raise ValueError("c_i d_j != delta_ij q")
         b = self.b.transpose(1, 0, 2).reshape(k, n * k)
         if operator_norm(b @ b.conj().T) > 1 + _RELATION_TOL:
-            raise FamilyRelationError("row sum b b* exceeds the unit ball")
+            raise ValueError("row sum b b* exceeds the unit ball")
         c = self.c.reshape(n * k, k)
         if operator_norm(c.conj().T @ c) > 1 + _RELATION_TOL:
-            raise FamilyRelationError("column sum c* c exceeds the unit ball")
+            raise ValueError("column sum c* c exceeds the unit ball")
 
 
 @dataclass(frozen=True)
@@ -136,15 +126,15 @@ class ProjectionPartition:
         excess = _product_excess(P, P, P)
         for m, pm in enumerate(P):
             if np.abs(pm - pm.conj().T).max() > _RELATION_TOL or excess[m, m] > _RELATION_TOL:
-                raise FamilyRelationError(f"partition element {m} is not a projection")
+                raise ValueError(f"partition element {m} is not a projection")
             if abs(normalized_trace(pm) - 1.0 / n) > 1e-12:
-                raise FamilyRelationError(f"partition element {m} has trace != 1/n")
+                raise ValueError(f"partition element {m} has trace != 1/n")
         pairs = np.argwhere(np.triu(excess, 1) > _RELATION_TOL)
         if pairs.size:
             m, mp = pairs[0]
-            raise FamilyRelationError(f"elements {m}, {mp} are not orthogonal")
+            raise ValueError(f"elements {m}, {mp} are not orthogonal")
         if operator_norm(P.sum(axis=0)) > 1 + _RELATION_TOL:
-            raise FamilyRelationError("partition sum exceeds the identity")
+            raise ValueError("partition sum exceeds the identity")
 
 
 def diagonal_partition(n: int, k: int) -> ProjectionPartition:
@@ -226,13 +216,13 @@ def projection_isometries(p: np.ndarray, n: int) -> np.ndarray:
     k = p.shape[0]
     if (_product_excess(p[None], p[None], p)[0, 0] > _RELATION_TOL
             or np.abs(p - p.conj().T).max() > _RELATION_TOL):
-        raise FamilyRelationError("input is not a projection")
+        raise ValueError("input is not a projection")
     vals, vecs = np.linalg.eigh(p)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], _phase_normalize(vecs[:, order])
     r = int(np.count_nonzero(vals > 0.5))
     if n * r > k:
-        raise CapacityError(f"need {n}*{r} orthogonal directions in M_{k}")
+        raise ValueError(f"need {n}*{r} orthogonal directions in M_{k}")
     uh = vecs[:, :r].conj().T
     return np.stack([vecs[:, i * r:(i + 1) * r] @ uh for i in range(n)])
 

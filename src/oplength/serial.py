@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .blocks import BlockMatrix, DiagonalMatrix
+from .blocks import BlockMatrix, DiagonalMatrix, ShapeMismatchError
 from .certs import FactorizationCertificate, cost
 
 __all__ = [
@@ -127,10 +127,13 @@ def certificate_to_json(cert: FactorizationCertificate) -> str:
 def certificate_from_json(text: str) -> FactorizationCertificate:
     doc = _document(text, ("d", "k"), ("widths", "alphas", "diags"))
     alphas = tuple(_decode_complex(a, f"alphas[{i}]") for i, a in enumerate(doc["alphas"]))
-    diags = tuple(
-        DiagonalMatrix(_decode_complex(D, f"diags[{i}]")) for i, D in enumerate(doc["diags"])
-    )
-    cert = FactorizationCertificate(alphas, diags)
+    diags = []
+    for i, D in enumerate(doc["diags"]):
+        try:
+            diags.append(DiagonalMatrix(_decode_complex(D, f"diags[{i}]")))
+        except ShapeMismatchError as exc:
+            raise ShapeMismatchError(f"diags[{i}]: {exc}") from None
+    cert = FactorizationCertificate(alphas, tuple(diags))
     if list(cert.widths) != list(doc["widths"]) or cert.d != doc["d"] or cert.k != doc["k"]:
         raise ValueError("certificate header disagrees with factor shapes")
     return cert

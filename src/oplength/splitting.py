@@ -15,18 +15,7 @@ import numpy as np
 
 from .blocks import BlockMatrix, block_l2, psd_sqrt, spectral_projection
 
-__all__ = ["SpectralSplit", "MassPreconditionError", "split_small_l2"]
-
-
-class MassPreconditionError(ValueError):
-    """The L2 mass does not lie strictly below the requested epsilon."""
-
-    def __init__(self, measured: float, eps: float):
-        super().__init__(
-            f"L2 mass {measured!r} is not strictly below eps={eps!r}"
-        )
-        self.measured = measured
-        self.eps = eps
+__all__ = ["SpectralSplit", "split_small_l2"]
 
 
 @dataclass(frozen=True)
@@ -45,7 +34,7 @@ def split_small_l2(x: BlockMatrix, eps: float) -> SpectralSplit:
     """
     mass = block_l2(x)
     if not mass < eps:
-        raise MassPreconditionError(mass, eps)
+        raise ValueError(f"L2 mass {mass!r} is not strictly below eps={eps!r}")
     n = x.n
     t = eps * np.sqrt(n)
     a = psd_sqrt(np.einsum("ijba,ijbc->ac", x.blocks.conj(), x.blocks))

@@ -1,5 +1,7 @@
 """Certificate evaluation, verification, padding, addition, conjugation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from oplength import (
 )
 from oplength import certs
 from oplength.blocks import block_diag, scalar_norm
-from oplength.certs import rebalance
+from oplength.certs import rebalance, rebalance_diags
 
 from conftest import random_block, random_certificate, random_entries
 
@@ -184,6 +186,14 @@ class TestVerify:
         assert report.passed
         assert report.ratio == 0.0
 
+    def test_zero_target_with_positive_cost_has_infinite_ratio(self):
+        # value diag(0, 1) sandwiched to 0; c / tiny overflows, which is the ratio, not a fault
+        cert = FactorizationCertificate((np.array([[1.0, 0.0]]), np.array([[10.0], [10.0]])),
+                                        (DiagonalMatrix(np.array([[[0.0]], [[1.0]]])),))
+        report = verify(cert, BlockMatrix(np.zeros((1, 1, 1, 1))))
+        assert report.passed and report.cost == 14.142135623730951
+        assert report.ratio == np.inf
+
     def test_shape_mismatch_is_an_error_not_a_failure(self, rng):
         x = random_block(rng, 3, 3, 2)
         y = random_block(rng, 4, 4, 2)
@@ -280,6 +290,20 @@ class TestAdd:
             ) <= 1e-10
             assert cost(total) <= cost(cu) + cost(cv) + 1e-9
 
+    def test_interior_norms_whose_product_overflows(self):
+        # cost 1 from 1e-200, 1e200, 1, 1e200, 1e-200: the interior product alone is 1e400
+        eye = np.eye(2)
+        D = DiagonalMatrix(1e200 * np.ones((2, 1, 1)))
+        c = FactorizationCertificate((1e-200 * eye, eye, 1e-200 * eye), (D, D))
+        assert verify(c, BlockMatrix.from_dense(eye, 1)).passed
+        r = rebalance(c)
+        assert scalar_norm(r.alphas[0]) == scalar_norm(r.alphas[-1]) == 1.0
+        report = verify(r, BlockMatrix.from_dense(eye, 1))
+        assert report.passed and report.cost == 1.0
+        report = verify(add(c, c), BlockMatrix.from_dense(2 * eye, 1))
+        assert report.passed and report.recon_error == 0.0
+        assert report.cost == pytest.approx(2.0, rel=1e-12)
+
     def test_depth_mismatch_rejected(self, rng):
         cu = random_certificate(rng, d=1, widths=(3,))
         cv = random_certificate(rng, d=2)
@@ -345,6 +369,32 @@ class TestRebalanceHelpers:
         a0, ad = scalar_norm(out.alphas[0]), scalar_norm(out.alphas[-1])
         assert abs(a0 - ad) <= 1e-12 * max(1.0, a0)
         assert abs(cost(out) - c) <= 1e-12 * max(1.0, c)
+
+    @given(seed=st.integers(0, 10**6), count=st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_norm_product_has_the_bits_of_the_plain_product(self, seed, count):
+        rng = np.random.default_rng(seed)
+        # at most six norms in e^[-40, 40] keep the product and the result normal
+        norms = [float(v) for v in np.exp(rng.uniform(-40, 40, size=count))]
+        a = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))).T  # not C-contiguous
+        a[0, 0] = complex(-0.0, -1.0)  # the complex multiply turns this zero's sign
+        got, want = certs._times_norms(a, norms), a * math.prod(norms)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+    def test_unit_norm_product_keeps_the_first_diagonal_itself(self, rng):
+        cert = random_certificate(rng, d=2)
+        unit = DiagonalMatrix.unit(cert.diags[1].size, cert.k)
+        cert = FactorizationCertificate(cert.alphas, (cert.diags[0], unit))
+        assert rebalance_diags(cert).diags[0] is cert.diags[0]
+
+    def test_rebalance_diags_warns_where_the_moved_norms_overflow(self):
+        # cost 1, but the two 1e200 diagonal norms multiply to 1e400 on the first diagonal
+        eye = np.eye(2)
+        D = DiagonalMatrix(1e200 * np.ones((2, 1, 1)))
+        c = FactorizationCertificate((1e-200 * eye, eye, 1e-200 * eye), (D, D))
+        with pytest.warns(RuntimeWarning, match="overflow encountered in ldexp"):
+            out = rebalance_diags(c)
+        assert np.isinf(out.diags[0].entries).all() and cost(c) == 0.9999999999999998
 
     def test_pad_to(self, rng):
         cert = random_certificate(rng, d=1, widths=(4,))

@@ -263,12 +263,17 @@ class TestCli:
         ("verify", "cert", lambda doc: {**doc, "widths": None}, "widths: expected a list"),
         ("verify", "cert", lambda doc: {**doc, "alphas": [doc["alphas"][0], {}]}, "alphas[1]: "),
         ("verify", "cert", lambda doc: {**doc, "alphas": [[[1.0, 0.0]], doc["alphas"][1]]},
-         "scalar factors must be matrices"),
+         "alphas[0]: scalar factors must be matrices"),
+        ("verify", "cert", lambda doc: {**doc, "alphas": [[doc["alphas"][0]], doc["alphas"][1]]},
+         "alphas[0]: scalar factors must be matrices"),
+        ("verify", "cert", lambda doc: {**doc, "diags": [[[[[1.0, 0.0]] * 3] * 2] * 4]},
+         "diags[0]: expected (N, k, k) entries, got (4, 2, 3)"),
         ("verify", "cert", lambda doc: [doc], "expected a JSON object"),
         ("verify", "inst", lambda doc: {**doc, "blocks": {}}, "blocks: expected a list"),
         ("factor", "inst", lambda doc: {**doc, "blocks": [[[[[1.0, 0.0]]]], [1.0]]}, "blocks: "),
         ("factor", "inst", lambda doc: [doc], "expected a JSON object"),
-    ], ids=["alphas-number", "widths-null", "alpha-object", "alpha-vector", "cert-list",
+    ], ids=["alphas-number", "widths-null", "alpha-object", "alpha-vector", "alpha-3d",
+            "diag-non-square", "cert-list",
             "blocks-object", "blocks-ragged", "instance-list"])
     def test_malformed_file_is_usage_error_naming_the_field(self, tmp_path, capsys, command,
                                                             target, malform, named):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from oplength import (
     BlockMatrix,
-    CapacityError,
     DiagonalMatrix,
     FactorizationCertificate,
-    FamilyRelationError,
     IsometryFamily,
     ProjectionPartition,
     ShapeMismatchError,
@@ -127,7 +125,7 @@ class TestFactorThroughFamily:
         n, k = 2, 4
         bad = random_entries(rng, n, k)
         fam = IsometryFamily(p=np.eye(k), q=np.eye(k), a=bad, b=bad, c=bad, d=bad)
-        with pytest.raises(FamilyRelationError):
+        with pytest.raises(ValueError, match=re.escape("a_i b_j != delta_ij p")):
             fam.validate()
         x = random_block(rng, n, n, k)
         assert not verify(factor_through_family(x, fam), x).passed
@@ -226,7 +224,7 @@ class TestFamilyValidate:
             P = haar_rotated_partition(3, 12, 1)
             fam = family_from_projections(P[0], P[1], 3)
         fam.validate()
-        with pytest.raises(FamilyRelationError, match=re.escape(FAMILY_MESSAGES[relation])):
+        with pytest.raises(ValueError, match=re.escape(FAMILY_MESSAGES[relation])):
             break_relation(fam, relation).validate()
 
     @pytest.mark.parametrize("n,r,s", [(1, 1, 1), (3, 1, 1), (3, 2, 3), (3, 3, 1), (4, 4, 4)])
@@ -271,8 +269,13 @@ class TestProjectionIsometries:
         assert operator_norm(np.einsum("iab,icb->ac", vs, vs.conj())) <= 1 + 1e-10
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError, match=re.escape("need 2*4 orthogonal directions in M_4")):
             projection_isometries(np.eye(4), 2)
+
+    def test_rejects_non_projection(self):
+        # Hermitian but not idempotent: the eigenvalue 1/2 is neither 0 nor 1
+        with pytest.raises(ValueError, match=re.escape("input is not a projection")):
+            projection_isometries(np.diag([1.0, 0.5, 0.0, 0.0]), 2)
 
 
 class TestCornerEmbedding:
@@ -529,28 +532,28 @@ class TestProjectionPartition:
         P = np.zeros((2, 4, 4), dtype=complex)
         P[0, 0, 0] = 1
         P[1, 1, 1] = 1
-        with pytest.raises(FamilyRelationError, match=re.escape("element 0 has trace != 1/n")):
+        with pytest.raises(ValueError, match=re.escape("partition element 0 has trace != 1/n")):
             ProjectionPartition(P).validate()
 
     def test_rejects_non_hermitian_element(self):
         # p_1 + eps e_20 is an idempotent with p_0 p_1' = 0 and the right trace
         P = diagonal_partition(2, 4).projections.copy()
         P[1, 2, 0] = 1e-6
-        with pytest.raises(FamilyRelationError, match="partition element 1 is not a projection"):
+        with pytest.raises(ValueError, match=re.escape("partition element 1 is not a projection")):
             ProjectionPartition(P).validate()
 
     def test_rejects_non_idempotent_element(self):
         # Hermitian, orthogonal to p_1 and of trace 1/2, but diag(1.5, 0.5) is no projection
         P = diagonal_partition(2, 4).projections.copy()
         P[0, 0, 0], P[0, 1, 1] = 1.5, 0.5
-        with pytest.raises(FamilyRelationError, match="partition element 0 is not a projection"):
+        with pytest.raises(ValueError, match=re.escape("partition element 0 is not a projection")):
             ProjectionPartition(P).validate()
 
     def test_rejects_non_orthogonal_pair(self):
         # three rank-one projections of trace 1/3; the last overlaps the second
         v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
         P = np.stack([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.outer(v, v)]).astype(complex)
-        with pytest.raises(FamilyRelationError, match="elements 1, 2 are not orthogonal"):
+        with pytest.raises(ValueError, match=re.escape("elements 1, 2 are not orthogonal")):
             ProjectionPartition(P).validate()
 
     @pytest.mark.parametrize("n,k,seed", [(1, 3, 0), (2, 4, 0), (3, 12, 1), (4, 16, 2)])
