@@ -64,17 +64,22 @@ def _items(flag: str, text: str, kind) -> list:
     return out
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(pieces, out: str | None) -> None:
+    """Write the text pieces to the file ``out`` one by one as they come, or to stdout.
+
+    Stdout gets the joined text, ending in a newline.
+    """
     if out:
         with open(out, "w") as f:
-            f.write(text)
+            f.writelines(pieces)
     else:
+        text = "".join(pieces)
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def cmd_gen(args) -> int:
     x = random_instance(args.n, args.k, args.seed, args.distribution, noise=args.noise)
-    _write_out(serial.instance_to_json(x), args.out)
+    _write_out(serial.json_pieces(x), args.out)
     return 0
 
 
@@ -92,7 +97,7 @@ def cmd_factor(args) -> int:
         **report.as_dict(),
     }
     if args.out:
-        _write_out(serial.certificate_to_json(cert), args.out)
+        _write_out(serial.json_pieces(cert), args.out)
     print(serial.dump_report(doc))
     return 0 if report.passed else CHECK_FAILED
 
@@ -140,7 +145,7 @@ def cmd_bench(args) -> int:
             ok = ok and rep.passed
     for name, n in ((c, n) for c in names for n in ns if (c, n) not in runs):
         print(f"skipped {name} at n={n}, k={args.k}: needs n | k", file=sys.stderr)
-    _write_out(buf.getvalue(), args.out)
+    _write_out([buf.getvalue()], args.out)
     return 0 if ok else CHECK_FAILED
 
 

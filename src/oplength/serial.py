@@ -6,9 +6,10 @@ bit-exact.  Output is strict JSON: a non-finite float in a report is
 written as ``null``.
 
 Instance and certificate files are written as text straight from the
-arrays, with no nested Python lists in between; the bytes are those of
-``json.dumps`` on the ``[re, im]`` lists, with the same keys, key order
-and separators.  Reading is plain ``json.loads``, so files from any
+arrays, with no nested Python lists in between, by one generator of text
+pieces (``json_pieces``), one array's text at a time; the bytes are those
+of ``json.dumps`` on the ``[re, im]`` lists, with the same keys, key
+order and separators.  Reading is plain ``json.loads``, so files from any
 other JSON writer load too.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .blocks import BlockMatrix, DiagonalMatrix, ShapeMismatchError
 from .certs import FactorizationCertificate, cost
 
 __all__ = [
+    "json_pieces",
     "instance_to_json",
     "instance_from_json",
     "certificate_to_json",
@@ -36,19 +39,17 @@ def _complex_json(a: np.ndarray) -> str:
 
     Each distinct bit pattern of the interleaved ``[re, im]`` doubles is
     formatted once by ``float.__repr__`` (as ``json`` does, keeping 0.0
-    and -0.0 apart); the separator after each number, ``", "`` or
-    ``"], ["`` with as many brackets as axes end there, follows from its
-    flat index, and one ``str.join`` makes the text.
+    and -0.0 apart; the caller has checked them finite); the separator
+    after each number, ``", "`` or ``"], ["`` with as many brackets as
+    axes end there, follows from its flat index, and one ``str.join``
+    makes the text.
     """
     shape = a.shape + (2,)
     flat = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1)
     if flat.size == 0:
         return json.dumps(np.zeros(shape).tolist())
     bits, index = np.unique(flat.view(np.uint64), return_inverse=True)
-    values = bits.view(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite values cannot be written as JSON")
-    words = np.array([float.__repr__(v) for v in values.tolist()], dtype=object)
+    words = np.array([float.__repr__(v) for v in bits.view(np.float64).tolist()], dtype=object)
     # closing brackets after each number of one slice along the first axis
     period = flat.size // shape[0]
     closes = np.zeros(period, dtype=np.intp)
@@ -65,8 +66,38 @@ def _complex_json(a: np.ndarray) -> str:
     return "".join(out)
 
 
-def _complex_list_json(arrays) -> str:
-    return "[" + ", ".join([_complex_json(a) for a in arrays]) + "]"
+def _listed(arrays) -> list:
+    """The JSON list of ``arrays`` as parts: its brackets and separators around the arrays."""
+    parts = ["["]
+    for i, a in enumerate(arrays):
+        parts += [", ", a] if i else [a]
+    return parts + ["]"]
+
+
+def json_pieces(obj: BlockMatrix | FactorizationCertificate) -> Iterator[str]:
+    """The JSON text of an instance or a certificate, in pieces of at most one array each.
+
+    ``"".join`` of the pieces is the text; a writer that sends each piece
+    out as it is made never holds more than one array's text.  A
+    certificate carries its cost under ``claimed_cost`` (ignored on load).
+    Every array is checked finite (ValueError otherwise) before the cost is
+    taken and the pieces are returned, so nothing is refused once the
+    first piece is out.
+    """
+    if isinstance(obj, BlockMatrix):
+        parts = [f'{{"n": {obj.n}, "k": {obj.k}, "blocks": ', obj.blocks, "}"]
+    else:
+        parts = [
+            f'{{"d": {obj.d}, "k": {obj.k}, "widths": {json.dumps(list(obj.widths))}, "alphas": ',
+            *_listed(obj.alphas),
+            ', "diags": ',
+            *_listed(D.entries for D in obj.diags),
+        ]
+    if not all(np.all(np.isfinite(p)) for p in parts if isinstance(p, np.ndarray)):
+        raise ValueError("non-finite values cannot be written as JSON")
+    if isinstance(obj, FactorizationCertificate):
+        parts.append(f', "claimed_cost": {json.dumps(_finite_or_null(cost(obj)))}}}')
+    return (p if isinstance(p, str) else _complex_json(p) for p in parts)
 
 
 def _document(text: str, scalars, lists) -> dict:
@@ -100,7 +131,7 @@ def _finite_or_null(v):
 
 
 def instance_to_json(x: BlockMatrix) -> str:
-    return f'{{"n": {x.n}, "k": {x.k}, "blocks": {_complex_json(x.blocks)}}}'
+    return "".join(json_pieces(x))
 
 
 def instance_from_json(text: str) -> BlockMatrix:
@@ -115,13 +146,7 @@ def instance_from_json(text: str) -> BlockMatrix:
 
 
 def certificate_to_json(cert: FactorizationCertificate) -> str:
-    """The factors, plus the cost under ``claimed_cost`` (ignored on load)."""
-    return (
-        f'{{"d": {cert.d}, "k": {cert.k}, "widths": {json.dumps(list(cert.widths))}, '
-        f'"alphas": {_complex_list_json(cert.alphas)}, '
-        f'"diags": {_complex_list_json(D.entries for D in cert.diags)}, '
-        f'"claimed_cost": {json.dumps(_finite_or_null(cost(cert)))}}}'
-    )
+    return "".join(json_pieces(cert))
 
 
 def certificate_from_json(text: str) -> FactorizationCertificate:

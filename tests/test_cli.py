@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,13 +26,14 @@ from oplength import (
 )
 import oplength
 from oplength import certs, pipeline
-from oplength.cli import main
+from oplength.cli import _write_out, main
 from oplength.serial import (
     _complex_json,
     certificate_from_json,
     certificate_to_json,
     instance_from_json,
     instance_to_json,
+    json_pieces,
 )
 
 from conftest import random_block
@@ -98,9 +100,13 @@ class TestSerialization:
         for b in (a, a.T):
             assert _complex_json(b) == json.dumps(pairs(b))
 
-    def test_complex_json_refuses_non_finite(self):
-        with pytest.raises(ValueError):
-            _complex_json(np.array([[1.0, complex(0.0, np.inf)]]))
+    def test_json_pieces_refuses_non_finite(self):
+        eye = np.eye(2)
+        for alpha, entry in ((complex(0.0, np.inf), 1.0), (1.0, complex(np.nan, 0.0))):
+            cert = FactorizationCertificate((np.array([[1.0, alpha]]), np.ones((2, 1))),
+                                            (DiagonalMatrix(np.array([[[entry]], [[1.0]]])),))
+            with pytest.raises(ValueError, match="non-finite values cannot be written as JSON"):
+                json_pieces(cert)
 
     def test_instance_round_trip_bit_exact(self, rng):
         x = random_block(rng, 3, 3, 4)
@@ -164,6 +170,31 @@ class TestCli:
             "diags": [pairs(D.entries) for D in cert.diags],
             "claimed_cost": cost(cert),
         })
+
+    def test_non_finite_certificate_leaves_the_out_file_untouched(self, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_bytes(b"old bytes")
+        cert = FactorizationCertificate((np.eye(2), np.eye(2)),
+                                        (DiagonalMatrix(np.array([[[1.0]], [[np.inf]]])),))
+        with pytest.raises(ValueError, match="non-finite"):
+            _write_out(json_pieces(cert), str(path))
+        assert path.read_bytes() == b"old bytes"
+
+    def test_certificate_file_is_written_one_factor_at_a_time(self, tmp_path):
+        # sub19 at (6, 12): an 18 MB file of five diagonals and six scalars; the
+        # whole text held once, as str and as encoded bytes, would peak at 2x its size
+        cert, _ = CONSTRUCTIONS["sub19"].build(random_instance(6, 12, 7))
+        cost(cert)  # factor has costed the certificate before it writes it
+        path = tmp_path / "sub19.json"
+        tracemalloc.start()
+        try:
+            _write_out(json_pieces(cert), str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 17_000_000
+        assert peak < 1.5 * size, f"peak {peak} bytes for a {size}-byte file"
 
     def test_gen_deterministic(self, tmp_path):
         a = self.run_gen(tmp_path, name="a.json")
@@ -347,17 +378,22 @@ class TestCli:
         (["factor", "--instance", "{x34}", "--construction", "nope"],
          "argument --construction: invalid choice: 'nope'"),
         (["gen", "--n", "x", "--k", "2"], "argument --n: invalid int value: 'x'"),
+        (["factor", "--instance", "{x24}", "--construction", "t13", "--out", "{nodir}"],
+         "no_such_dir"),
     ], ids=["factor-t13-3x4", "factor-lemma5-3x4", "uniformity-t13-3x4", "gen-blockdiag-3x4",
             "bench-unknown-name", "bench-nothing-applicable", "bench-empty-range",
             "bench-zero-trials", "bench-bad-range-item", "cb-empty-spec", "cb-bad-spec",
             "missing-file", "gen-nan-noise", "gen-blockdiag-nan-noise",
             "gen-blockdiag-overflowing-noise", "gen-negative-seed",
             "cb-negative-seed", "bench-negative-seed", "gen-missing-k",
-            "factor-unknown-construction", "gen-bad-int"])
+            "factor-unknown-construction", "gen-bad-int", "factor-out-missing-dir"])
     def test_usage_error_is_one_stderr_line_naming_the_rule(self, tmp_path, capsys, argv, named):
-        files = {"{missing}": str(tmp_path / "nope.json")}
+        files = {"{missing}": str(tmp_path / "nope.json"),
+                 "{nodir}": str(tmp_path / "no_such_dir" / "cert.json")}
         if "{x34}" in argv:
             files["{x34}"] = str(self.run_gen(tmp_path, n=3, k=4))
+        if "{x24}" in argv:
+            files["{x24}"] = str(self.run_gen(tmp_path, n=2, k=4))
         capsys.readouterr()
         assert main([files.get(a, a) for a in argv]) == 2
         out = capsys.readouterr()
