@@ -258,13 +258,18 @@ def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
 def rebalance_diags(cert: FactorizationCertificate) -> FactorizationCertificate:
     """Same value and scalar factors; all diagonal norms go onto the first diagonal.
 
-    Used before direct-summing certificates so the summed diagonal norms
-    do not multiply up across positions, while the scalar data stays
-    untouched (it must remain independent of the input values, bitwise).
+    Used before direct-summing certificates so the summed diagonal norms do not multiply
+    up across positions, while the scalar data stays untouched (it must remain independent
+    of the input values, bitwise).  ValueError where the moved norms overflow an entry.
     """
     diags, norms = _unit_diags(cert.diags[1:])
-    one = math.prod(norms) == 1  # the test scaled(1) made: a plain product of 1 keeps the diagonal
-    first = cert.diags[0] if one else DiagonalMatrix(_times_norms(cert.diags[0].entries, norms))
+    first = cert.diags[0]
+    if math.prod(norms) != 1:  # the test scaled(1) made: a plain product of 1 keeps the diagonal
+        try:
+            with np.errstate(over="raise"):
+                first = DiagonalMatrix(_times_norms(first.entries, norms))
+        except FloatingPointError:
+            raise ValueError("rebalance_diags: the norms moved onto diags[0] overflow") from None
     return FactorizationCertificate(cert.alphas, (first, *diags))
 
 
@@ -347,8 +352,6 @@ def conjugate(row: RowDecomposition, inner: FactorizationCertificate) -> Factori
     """
     if row.w.shape[1] != inner.n:
         raise ShapeMismatchError("decomposition does not chain with inner certificate")
-    if row.diag.k != inner.k:
-        raise ShapeMismatchError("block order mismatch")
     alphas = (
         (row.alpha0, row.w @ inner.alphas[0])
         + inner.alphas[1:-1]

@@ -387,14 +387,14 @@ class TestRebalanceHelpers:
         cert = FactorizationCertificate(cert.alphas, (cert.diags[0], unit))
         assert rebalance_diags(cert).diags[0] is cert.diags[0]
 
-    def test_rebalance_diags_warns_where_the_moved_norms_overflow(self):
+    def test_rebalance_diags_refuses_where_the_moved_norms_overflow(self):
         # cost 1, but the two 1e200 diagonal norms multiply to 1e400 on the first diagonal
         eye = np.eye(2)
         D = DiagonalMatrix(1e200 * np.ones((2, 1, 1)))
         c = FactorizationCertificate((1e-200 * eye, eye, 1e-200 * eye), (D, D))
-        with pytest.warns(RuntimeWarning, match="overflow encountered in ldexp"):
-            out = rebalance_diags(c)
-        assert np.isinf(out.diags[0].entries).all() and cost(c) == 0.9999999999999998
+        with pytest.raises(ValueError, match=r"the norms moved onto diags\[0\] overflow"):
+            rebalance_diags(c)
+        assert cost(c) == 0.9999999999999998
 
     def test_pad_to(self, rng):
         cert = random_certificate(rng, d=1, widths=(4,))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oplength import (
     BlockMatrix,
     DiagonalMatrix,
     FactorizationCertificate,
+    ShapeMismatchError,
     cost,
     operator_norm,
     random_instance,
@@ -359,7 +361,8 @@ class TestCli:
         (["gen", "--n", "3", "--k", "4", "--distribution", "blockdiag"], "partition needs n | k"),
         (["bench", "--constructions", "nope"],
          "--constructions: unknown 'nope'; known: lemma5, length1, sub18, sub19, t13"),
-        (["bench", "--constructions", "t13", "--n-range", "2", "--k", "3"], "need n | k"),
+        (["bench", "--constructions", "t13", "--n-range", "2", "--k", "3"],
+         "nothing to run: t13 at n=2, k=3: the diagonal partition needs n | k, got n=2, k=3"),
         (["bench", "--n-range", "", "--trials", "1"], "--n-range: empty"),
         (["bench", "--trials", "0"], "--trials"),
         (["bench", "--n-range", "2,x"], "--n-range: cannot read 'x'"),
@@ -452,7 +455,8 @@ class TestCli:
     def test_bench_notes_each_skipped_pair_on_stderr(self, capsys):
         assert main(["bench"]) == 0  # --n-range 2,3 --k 2: t13 needs n | k at n = 3
         out = capsys.readouterr()
-        assert out.err == "skipped t13 at n=3, k=2: needs n | k\n"
+        assert out.err == ("skipped t13 at n=3, k=2: "
+                           "the diagonal partition needs n | k, got n=3, k=2\n")
         rows = ["construction,n,k,trial,cost,norm,ratio"]
         for name in ("length1", "sub18", "sub19", "t13"):
             for n in (2, 3) if name != "t13" else (2,):
@@ -460,6 +464,32 @@ class TestCli:
                     rep = certs.verify(*CONSTRUCTIONS[name].build(random_instance(n, 2, t)))
                     rows.append(f"{name},{n},2,{t},{rep.cost!r},{rep.lower!r},{rep.ratio!r}")
         assert out.out == "\n".join(rows) + "\n"
+
+    def test_bench_error_from_a_builder_is_a_usage_error(self, capsys, monkeypatch):
+        def refuse(x):
+            raise ValueError("builder refused the input")
+
+        spec = replace(CONSTRUCTIONS["length1"], build=refuse)
+        monkeypatch.setitem(CONSTRUCTIONS, "length1", spec)
+        assert main(["bench", "--constructions", "length1", "--n-range", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: builder refused the input\n"
+
+    def test_bench_shape_error_after_the_first_trial_is_not_a_skip(self, capsys, monkeypatch):
+        build, trials = CONSTRUCTIONS["length1"].build, []
+
+        def second_trial_refused(x):
+            trials.append(x)
+            if len(trials) == 2:
+                raise ShapeMismatchError("refused at trial 1")
+            return build(x)
+
+        spec = replace(CONSTRUCTIONS["length1"], build=second_trial_refused)
+        monkeypatch.setitem(CONSTRUCTIONS, "length1", spec)
+        assert main(["bench", "--constructions", "length1", "--n-range", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: refused at trial 1\n"
+        assert len(trials) == 2
 
     def test_cb_tight_case(self, capsys):
         assert main([

@@ -171,9 +171,12 @@ class TestConstructionsRegistry:
         assert set(CONSTRUCTIONS) == {"length1", "lemma5", "sub18", "sub19", "t13"}
 
     def test_applicability(self):
-        assert CONSTRUCTIONS["lemma5"].applicable(2, 4)
-        assert not CONSTRUCTIONS["lemma5"].applicable(3, 4)
-        assert CONSTRUCTIONS["sub18"].applicable(3, 4)
+        # the builders state their own fit: lemma5 and t13 need n | k, sub18 fits any shape
+        for name in ("lemma5", "t13"):
+            with pytest.raises(ShapeMismatchError, match=r"needs n \| k, got n=3, k=4"):
+                CONSTRUCTIONS[name].build(random_instance(3, 4, seed=0))
+            CONSTRUCTIONS[name].build(random_instance(2, 4, seed=0))
+        CONSTRUCTIONS["sub18"].build(random_instance(3, 4, seed=0))
 
     def test_t13_returns_the_pinch_its_pipeline_verified(self, monkeypatch):
         n, k = 3, 12
