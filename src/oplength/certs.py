@@ -129,22 +129,35 @@ class VerificationReport:
         return asdict(self)
 
 
+# bytes of one chunk's widest intermediate in evaluate: a certificate whose whole
+# product fits runs as one chunk, with the operations of the unchunked product
+_EVALUATE_CHUNK_BYTES = 4 << 20
+
+
 def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
     """The alternating product a_0 D_1 a_1 ... D_d a_d as a BlockMatrix.
 
-    The product starts from the materialized inflation a_d (x) I_k; the
-    other scalar factors are applied through the block structure rather
-    than by materializing their inflations.
+    Block column j of the value is a_0 D_1 ... D_d (a_d[:, j] (x) I_k).  The
+    product runs over a few block columns at a time, as many as keep the
+    widest intermediate, max(widths) k x c k complex, within
+    ``_EVALUATE_CHUNK_BYTES`` (at least one).  Each chunk starts from the
+    materialized inflation of its columns of a_d; the other scalar factors
+    are applied through the block structure rather than by materializing
+    their inflations.
     """
-    k = cert.k
-    M = np.kron(cert.alphas[-1], np.eye(k))
-    for i in range(cert.d, 0, -1):
-        D = cert.diags[i - 1].entries
-        N = D.shape[0]
-        M = (D @ M.reshape(N, k, -1)).reshape(N * k, -1)
-        a = cert.alphas[i - 1]
-        M = np.tensordot(a, M.reshape(N, k, -1), axes=(1, 0)).reshape(a.shape[0] * k, -1)
-    return BlockMatrix.from_dense(M, k)
+    n, k = cert.n, cert.k
+    c = max(1, _EVALUATE_CHUNK_BYTES // (max(cert.widths) * k * k * 16))
+    out = np.empty((n, n, k, k), dtype=np.complex128)
+    for j in range(0, n, c):
+        M = np.kron(cert.alphas[-1][:, j:j + c], np.eye(k))
+        for i in range(cert.d, 0, -1):
+            D = cert.diags[i - 1].entries
+            N = D.shape[0]
+            M = (D @ M.reshape(N, k, -1)).reshape(N * k, -1)
+            a = cert.alphas[i - 1]
+            M = np.tensordot(a, M.reshape(N, k, -1), axes=(1, 0)).reshape(a.shape[0] * k, -1)
+        out[:, j:j + c] = M.reshape(n, k, -1, k).transpose(0, 2, 1, 3)
+    return BlockMatrix(out)
 
 
 def _times_norms(a, norms):

@@ -101,7 +101,11 @@ def json_pieces(obj: BlockMatrix | FactorizationCertificate) -> Iterator[str]:
 
 
 def _document(text: str, scalars, lists) -> dict:
-    """The JSON object in ``text``; every field named must be there, those in ``lists`` as lists."""
+    """The JSON object in ``text``; every field named must be there, those in ``lists`` as lists.
+
+    The ``scalars`` and the items of a ``widths`` list must be JSON integers:
+    1.0 and true compare equal to 1, so the shape checks would take them.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
@@ -110,6 +114,12 @@ def _document(text: str, scalars, lists) -> dict:
             raise ValueError(f"{name}: missing")
         if name in lists and not isinstance(doc[name], list):
             raise ValueError(f"{name}: expected a list")
+    ints = [(name, doc[name]) for name in scalars]
+    if "widths" in lists:
+        ints += [(f"widths[{i}]", v) for i, v in enumerate(doc["widths"])]
+    for name, v in ints:
+        if type(v) is not int:
+            raise ValueError(f"{name}: expected an integer, got {json.dumps(v)}")
     return doc
 
 

@@ -1,6 +1,8 @@
 """Certificate evaluation, verification, padding, addition, conjugation."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplength import (
+    CONSTRUCTIONS,
     BlockMatrix,
     DiagonalMatrix,
     FactorizationCertificate,
@@ -23,6 +26,7 @@ from oplength import (
     operator_norm,
     pad,
     pad_to,
+    random_instance,
     restrict_direct_sum,
     universal_depth1,
     verify,
@@ -60,6 +64,34 @@ class TestEvaluateAndCost:
         cert = FactorizationCertificate((eye, W, W, eye), (unit, unit, unit))
         expected = BlockMatrix.from_dense(np.kron(W @ W, np.eye(k)), k)
         assert operator_norm(evaluate(cert) - expected) <= 1e-12
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), k=st.integers(1, 4),
+           d=st.integers(1, 3), widths=st.lists(st.integers(1, 5), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_product_equals_dense_product(self, seed, n, k, d, widths):
+        cert = random_certificate(np.random.default_rng(seed), n=n, k=k, d=d, widths=widths)
+        eye = np.eye(k)
+        dense = np.kron(cert.alphas[0], eye)
+        for D, a in zip(cert.diags, cert.alphas[1:]):
+            dense = dense @ block_diag(D.entries) @ np.kron(a, eye)
+        # the default budget, then one byte: each block column its own chunk
+        for budget in (certs._EVALUATE_CHUNK_BYTES, 1):
+            with mock.patch.object(certs, "_EVALUATE_CHUNK_BYTES", budget):
+                value = evaluate(cert).dense()
+            assert np.abs(value - dense).max() <= 1e-12 * max(1.0, cost(cert)), budget
+
+    def test_evaluate_peak_memory_is_a_few_values(self):
+        # sub19 at (6, 12): widths (6, 36, ..., 36, 6) over M_72, so the whole
+        # (36*72) x (6*72) intermediate is six times the value, and two are live at once
+        cert, _ = CONSTRUCTIONS["sub19"].build(random_instance(6, 12, 7))
+        tracemalloc.start()
+        try:
+            value = evaluate(cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = value.blocks.nbytes
+        assert peak < 4 * size, f"peak {peak} bytes for a {size}-byte value"
 
     def test_cost_of_identities(self):
         eye = np.eye(2, dtype=complex)

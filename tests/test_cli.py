@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -130,6 +131,27 @@ class TestSerialization:
         for D, E in zip(cert.diags, back.diags):
             np.testing.assert_array_equal(D.entries, E.entries)
         assert json.loads(certificate_to_json(cert))["claimed_cost"] == cost(cert)
+
+    @pytest.mark.parametrize("kind, field, value, named", [
+        ("instance", "n", 1.0, "n: expected an integer, got 1.0"),
+        ("instance", "k", True, "k: expected an integer, got true"),
+        ("certificate", "d", 1.0, "d: expected an integer, got 1.0"),
+        ("certificate", "k", True, "k: expected an integer, got true"),
+        ("certificate", "widths", [1, True, 1], "widths[1]: expected an integer, got true"),
+    ])
+    def test_header_fields_must_be_json_integers(self, kind, field, value, named):
+        # at n = k = d = 1 the shape checks alone would take 1.0 and true, which equal 1
+        eye = np.eye(1)
+        to_json, from_json, obj = {
+            "instance": (instance_to_json, instance_from_json, BlockMatrix(np.ones((1, 1, 1, 1)))),
+            "certificate": (certificate_to_json, certificate_from_json,
+                            FactorizationCertificate((eye, eye), (DiagonalMatrix(np.ones((1, 1, 1))),))),
+        }[kind]
+        doc = json.loads(to_json(obj))
+        from_json(json.dumps(doc))
+        doc[field] = value
+        with pytest.raises(ValueError, match=re.escape(named)):
+            from_json(json.dumps(doc))
 
     def test_certificate_header_check(self, rng):
         doc = json.loads(certificate_to_json(universal_depth1(random_block(rng, 2, 2, 2))))
@@ -383,13 +405,16 @@ class TestCli:
         (["gen", "--n", "x", "--k", "2"], "argument --n: invalid int value: 'x'"),
         (["factor", "--instance", "{x24}", "--construction", "t13", "--out", "{nodir}"],
          "no_such_dir"),
+        (["factor", "--instance", "{float_n}", "--construction", "length1"],
+         "n: expected an integer, got 1.0"),
     ], ids=["factor-t13-3x4", "factor-lemma5-3x4", "uniformity-t13-3x4", "gen-blockdiag-3x4",
             "bench-unknown-name", "bench-nothing-applicable", "bench-empty-range",
             "bench-zero-trials", "bench-bad-range-item", "cb-empty-spec", "cb-bad-spec",
             "missing-file", "gen-nan-noise", "gen-blockdiag-nan-noise",
             "gen-blockdiag-overflowing-noise", "gen-negative-seed",
             "cb-negative-seed", "bench-negative-seed", "gen-missing-k",
-            "factor-unknown-construction", "gen-bad-int", "factor-out-missing-dir"])
+            "factor-unknown-construction", "gen-bad-int", "factor-out-missing-dir",
+            "factor-float-header"])
     def test_usage_error_is_one_stderr_line_naming_the_rule(self, tmp_path, capsys, argv, named):
         files = {"{missing}": str(tmp_path / "nope.json"),
                  "{nodir}": str(tmp_path / "no_such_dir" / "cert.json")}
@@ -397,6 +422,10 @@ class TestCli:
             files["{x34}"] = str(self.run_gen(tmp_path, n=3, k=4))
         if "{x24}" in argv:
             files["{x24}"] = str(self.run_gen(tmp_path, n=2, k=4))
+        if "{float_n}" in argv:
+            files["{float_n}"] = str(tmp_path / "float_n.json")
+            with open(files["{float_n}"], "w") as f:
+                f.write('{"n": 1.0, "k": true, "blocks": [[[[[1.0, 0.0]]]]]}')
         capsys.readouterr()
         assert main([files.get(a, a) for a in argv]) == 2
         out = capsys.readouterr()
