@@ -103,17 +103,31 @@ class BlockMatrix:
 class DiagonalMatrix:
     """A block-diagonal matrix in M_N(M_k): N diagonal entries in M_k.
 
-    The operator norm equals the maximum entry norm.
+    The operator norm equals the maximum entry norm.  The public
+    constructor copies its input read-only; the library's own constructors
+    (``scaled``, ``adjoint``, ``_sums``) adopt the array they have just
+    allocated instead, read-only, with no second copy.
     """
 
     entries: np.ndarray  # shape (N, k, k)
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=np.complex128)
+        self._set_entries(np.array(self.entries, dtype=np.complex128))
+
+    def _set_entries(self, e: np.ndarray):
         if e.ndim != 3 or e.shape[1] != e.shape[2]:
             raise ShapeMismatchError(f"expected (N, k, k) entries, got {e.shape}")
         object.__setattr__(self, "entries", e)
-        self.entries.setflags(write=False)
+        e.setflags(write=False)
+
+    @classmethod
+    def _adopt(cls, entries: np.ndarray, norm: float | None = None) -> "DiagonalMatrix":
+        """A diagonal over ``entries``, a new array nothing else holds: read-only, not copied."""
+        D = object.__new__(cls)
+        D._set_entries(np.asarray(entries, dtype=np.complex128))
+        if norm is not None:
+            D.__dict__["_norm"] = norm
+        return D
 
     @property
     def size(self) -> int:
@@ -138,19 +152,42 @@ class DiagonalMatrix:
         return float(np.linalg.svd(self.entries, compute_uv=False).max(initial=0.0))
 
     def adjoint(self) -> "DiagonalMatrix":
-        return DiagonalMatrix(self.entries.conj().transpose(0, 2, 1))
+        return DiagonalMatrix._adopt(self.entries.conj().transpose(0, 2, 1))
 
     def scaled(self, c: complex) -> "DiagonalMatrix":
         """c times this diagonal; for c == 1 this very object, its norm kept."""
-        return self if c == 1 else DiagonalMatrix(self.entries * c)
+        return self if c == 1 else DiagonalMatrix._adopt(self.entries * c)
 
     @classmethod
-    def _concatenate(cls, parts) -> "DiagonalMatrix":
-        """The parts' entries in order, with the max of their norms when all are known (exact)."""
-        out = cls(np.concatenate([D.entries for D in parts]))
-        if all("_norm" in D.__dict__ for D in parts):
-            out.__dict__["_norm"] = max(D._norm for D in parts)
-        return out
+    def _sums(cls, rows, sizes, k: int) -> tuple:
+        """Diagonal i of the result holds part i of each of ``rows``, one row after another.
+
+        A row is a sequence of ``(diagonal, factor)`` parts, and ``sizes[i]``
+        is the sum of the sizes of the rows' i-th parts.  Each part's
+        ``entries * factor``, the bytes of ``scaled``, is written straight
+        into its slice of one new (sizes[i], k, k) array (a factor of 1
+        copies), which the result adopts.  Rows are taken one at a time
+        and let go once written, so a generator's rows need not be live
+        together.  Diagonal i keeps the max of its parts' norms (exact) when
+        every part has factor 1 and a known norm.
+        """
+        outs = [np.empty((N, k, k), dtype=np.complex128) for N in sizes]
+        at = [0] * len(sizes)
+        norms = [[] for _ in sizes]  # the parts' norms while all are unscaled and known
+        for row in rows:
+            for i, (D, c) in enumerate(row):
+                part = outs[i][at[i]:at[i] + D.size]
+                if c == 1:
+                    part[...] = D.entries
+                else:
+                    np.multiply(D.entries, c, out=part)
+                at[i] += D.size
+                if norms[i] is not None and c == 1 and "_norm" in D.__dict__:
+                    norms[i].append(D._norm)
+                else:
+                    norms[i] = None
+            del row, D  # not held while the next row is made
+        return tuple(cls._adopt(out, max(nrm) if nrm else None) for out, nrm in zip(outs, norms))
 
 
 def block_diag(mats) -> np.ndarray:

@@ -140,22 +140,26 @@ def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
     Block column j of the value is a_0 D_1 ... D_d (a_d[:, j] (x) I_k).  The
     product runs over a few block columns at a time, as many as keep the
     widest intermediate, max(widths) k x c k complex, within
-    ``_EVALUATE_CHUNK_BYTES`` (at least one).  Each chunk starts from the
-    materialized inflation of its columns of a_d; the other scalar factors
-    are applied through the block structure rather than by materializing
-    their inflations.
+    ``_EVALUATE_CHUNK_BYTES`` (at least one).  Each chunk starts from
+    D_d (a_d[:, cols] (x) I_k), whose block (e, j) is a_d[e, j] D_d[e]: one
+    product per element, with no inflation built and no GEMM over its zeros
+    (the bits of that GEMM where a_d is real, as every built certificate's
+    is).  The other scalar factors are applied through the block structure
+    rather than by materializing their inflations.
     """
     n, k = cert.n, cert.k
     c = max(1, _EVALUATE_CHUNK_BYTES // (max(cert.widths) * k * k * 16))
     out = np.empty((n, n, k, k), dtype=np.complex128)
     for j in range(0, n, c):
-        M = np.kron(cert.alphas[-1][:, j:j + c], np.eye(k))
+        D = cert.diags[-1].entries
+        # C order whatever D's layout (an adjoint's is transposed), so the reshapes below are views
+        M = np.multiply(D[:, :, None, :], cert.alphas[-1][:, None, j:j + c, None], order="C")
         for i in range(cert.d, 0, -1):
-            D = cert.diags[i - 1].entries
-            N = D.shape[0]
-            M = (D @ M.reshape(N, k, -1)).reshape(N * k, -1)
+            if i < cert.d:
+                D = cert.diags[i - 1].entries
+                M = D @ M.reshape(D.shape[0], k, -1)
             a = cert.alphas[i - 1]
-            M = np.tensordot(a, M.reshape(N, k, -1), axes=(1, 0)).reshape(a.shape[0] * k, -1)
+            M = np.tensordot(a, M.reshape(D.shape[0], k, -1), axes=(1, 0))
         out[:, j:j + c] = M.reshape(n, k, -1, k).transpose(0, 2, 1, 3)
     return BlockMatrix(out)
 
@@ -234,26 +238,20 @@ def pad_to(cert: FactorizationCertificate, depth: int) -> FactorizationCertifica
     return cert
 
 
-def _unit_diags(diags):
-    """Each nonzero diagonal divided by its norm, and those norms."""
-    norms, out = [], []
+def _unit_factors(diags):
+    """The factor taking each diagonal to norm 1 (1 for a zero one), and the nonzero norms."""
+    factors, norms = [], []
     for D in diags:
         nD = D.norm()
         if nD > 0:
             norms.append(nD)
-            D = D.scaled(1.0 / nD)
-        out.append(D)
-    return out, norms
+        factors.append(1.0 / nD if nD > 0 else 1)
+    return factors, norms
 
 
-def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
-    """Same value; interior factors of norm 1 and sqrt(cost) on each of a_0 and a_d.
-
-    The interior norms are first moved onto a_0, which then shares the
-    cost with a_d.  Zero factors are left in place (the value is then
-    zero regardless).
-    """
-    diags, norms = _unit_diags(cert.diags)
+def _rebalanced(cert: FactorizationCertificate):
+    """:func:`rebalance`'s scalar factors, and the factor that scales each diagonal."""
+    factors, norms = _unit_factors(cert.diags)
     alphas = [cert.alphas[0]]
     for a in cert.alphas[1:]:
         na = scalar_norm(a)
@@ -265,7 +263,32 @@ def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
     c = scalar_norm(alphas[0])
     if c != 0:
         alphas[0], alphas[-1] = alphas[0] / np.sqrt(c), alphas[-1] * np.sqrt(c)
-    return FactorizationCertificate(tuple(alphas), tuple(diags))
+    return alphas, factors
+
+
+def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
+    """Same value; interior factors of norm 1 and sqrt(cost) on each of a_0 and a_d.
+
+    The interior norms are first moved onto a_0, which then shares the
+    cost with a_d.  Zero factors are left in place (the value is then
+    zero regardless).
+    """
+    alphas, factors = _rebalanced(cert)
+    diags = tuple(D.scaled(c) for D, c in zip(cert.diags, factors))
+    return FactorizationCertificate(tuple(alphas), diags)
+
+
+def _diag_parts(cert: FactorizationCertificate) -> list:
+    """:func:`rebalance_diags`'s diagonals as (diagonal, factor) parts; diags[0] has the norms."""
+    factors, norms = _unit_factors(cert.diags[1:])
+    first = cert.diags[0]
+    if math.prod(norms) != 1:  # the test scaled(1) made: a plain product of 1 keeps the diagonal
+        try:
+            with np.errstate(over="raise"):
+                first = DiagonalMatrix._adopt(_times_norms(first.entries, norms))
+        except FloatingPointError:
+            raise ValueError("rebalance_diags: the norms moved onto diags[0] overflow") from None
+    return [(first, 1), *zip(cert.diags[1:], factors)]
 
 
 def rebalance_diags(cert: FactorizationCertificate) -> FactorizationCertificate:
@@ -275,15 +298,7 @@ def rebalance_diags(cert: FactorizationCertificate) -> FactorizationCertificate:
     up across positions, while the scalar data stays untouched (it must remain independent
     of the input values, bitwise).  ValueError where the moved norms overflow an entry.
     """
-    diags, norms = _unit_diags(cert.diags[1:])
-    first = cert.diags[0]
-    if math.prod(norms) != 1:  # the test scaled(1) made: a plain product of 1 keeps the diagonal
-        try:
-            with np.errstate(over="raise"):
-                first = DiagonalMatrix(_times_norms(first.entries, norms))
-        except FloatingPointError:
-            raise ValueError("rebalance_diags: the norms moved onto diags[0] overflow") from None
-    return FactorizationCertificate(cert.alphas, (first, *diags))
+    return FactorizationCertificate(cert.alphas, tuple(D.scaled(c) for D, c in _diag_parts(cert)))
 
 
 def _check_same_scalars(cert: FactorizationCertificate, ref: FactorizationCertificate, where: str):
@@ -307,7 +322,8 @@ def direct_sum(certs) -> FactorizationCertificate:
     if any(c.d != d or c.k != k for c in certs):
         raise ShapeMismatchError("direct summands must share depth and block order")
     alphas = tuple(block_diag([c.alphas[i] for c in certs]) for i in range(d + 1))
-    diags = tuple(DiagonalMatrix._concatenate([c.diags[i] for c in certs]) for i in range(d))
+    sizes = [sum(c.diags[i].size for c in certs) for i in range(d)]
+    diags = DiagonalMatrix._sums(([(D, 1) for D in c.diags] for c in certs), sizes, k)
     return FactorizationCertificate(alphas, diags)
 
 
@@ -320,18 +336,21 @@ def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> Factoriza
     column-concatenated, and everything in between is direct-summed,
     giving cost <= cost_u + cost_v (optimal for concatenation-based
     sums: the product of the two concatenation bounds is at least the
-    plain sum by Cauchy-Schwarz).
+    plain sum by Cauchy-Schwarz).  The rebalanced diagonals are never
+    built: each summed diagonal is written once from the inputs' entries
+    times their unit factors, with the bytes of the rebalance-then-sum.
     """
     if cu.d != cv.d or cu.n != cv.n or cu.k != cv.k:
         raise ShapeMismatchError("certificates must share depth, outer shape and block order")
-    cu, cv = rebalance(cu), rebalance(cv)
-    s = direct_sum([cu, cv])
+    (au, fu), (av, fv) = _rebalanced(cu), _rebalanced(cv)
     alphas = (
-        (np.hstack([cu.alphas[0], cv.alphas[0]]),)
-        + s.alphas[1:-1]
-        + (np.vstack([cu.alphas[-1], cv.alphas[-1]]),)
+        (np.hstack([au[0], av[0]]),)
+        + tuple(block_diag(pair) for pair in zip(au[1:-1], av[1:-1]))
+        + (np.vstack([au[-1], av[-1]]),)
     )
-    return FactorizationCertificate(alphas, s.diags)
+    sizes = [Du.size + Dv.size for Du, Dv in zip(cu.diags, cv.diags)]
+    diags = DiagonalMatrix._sums([zip(cu.diags, fu), zip(cv.diags, fv)], sizes, cu.k)
+    return FactorizationCertificate(alphas, diags)
 
 
 @dataclass(frozen=True)

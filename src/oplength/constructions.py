@@ -9,6 +9,7 @@ values.  Only the diagonal factors carry the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .blocks import (
     DiagonalMatrix,
     ShapeMismatchError,
     _phase_normalize,
+    block_diag,
     fourier_unitary,
     normalized_trace,
     operator_norm,
@@ -25,9 +27,8 @@ from .certs import (
     FactorizationCertificate,
     RowDecomposition,
     _check_same_scalars,
+    _diag_parts,
     conjugate,
-    direct_sum,
-    rebalance_diags,
 )
 
 __all__ = [
@@ -277,31 +278,52 @@ def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     alpha0 = np.hstack([eyen] * n) / np.sqrt(n)
     dvals = np.einsum("im,iab->mab", np.sqrt(n) * W.conj(), part.projections)
     entries = np.repeat(dvals, n, axis=0)  # entry at (m, j) is dvals[m]
-    return RowDecomposition(alpha0, DiagonalMatrix(entries), np.kron(W, eyen))
+    return RowDecomposition(alpha0, DiagonalMatrix._adopt(entries), np.kron(W, eyen))
 
 
 def pinch_certificate(inner_certs, part: ProjectionPartition):
     """Depth d+2 certificate for [sum_m p_m X_m(i, j) p_m].
 
-    The inner certificates (one per partition element) are direct-summed
-    and conjugated by the partition row decomposition on both sides.
-    They must share widths and scalar factors bitwise, as one
+    The inner certificates (one per partition element, any iterable) are
+    direct-summed and conjugated by the partition row decomposition on
+    both sides.  They must share widths and scalar factors bitwise, as one
     construction's certificates of one shape do (:class:`UniformityError`
     otherwise), so the cost is at most the largest inner cost: the row
     decompositions are contractions and the direct sum of the rebalanced
     inner certificates costs as much as its largest summand.  part must be
     a partition (exact for :func:`diagonal_partition`), else verify fails.
+
+    The value is ``conjugate(row, direct_sum(rebalance_diags(c) for c in
+    inner_certs))`` bit for bit, but the inner certificates are taken one
+    at a time: each is checked against the first, its rebalanced diagonals
+    are written straight into the summed ones, and it is let go before the
+    next is taken, so a generator of them is consumed once and its
+    certificates need not be live together.
     """
-    inner_certs = list(inner_certs)
-    n = part.n
-    if len(inner_certs) != n:
-        raise ShapeMismatchError("need one inner certificate per partition element")
-    d = inner_certs[0].d
-    for m, c in enumerate(inner_certs):
-        if c.d != d or c.n != n or c.k != part.k:
-            raise ShapeMismatchError("inner certificates must share depth and shape")
-        _check_same_scalars(c, inner_certs[0], f"between inner certificates 0 and {m}")
-    dsum = direct_sum(rebalance_diags(c) for c in inner_certs)
+    miscount = "need one inner certificate per partition element"
+    n, certs = part.n, iter(inner_certs)
+    first = next(certs, None)
+    if first is None:
+        raise ShapeMismatchError(miscount)
+    count = 0
+
+    def rows():
+        nonlocal count
+        for c in chain([first], certs):
+            if count == n:
+                raise ShapeMismatchError(miscount)
+            if c.d != first.d or c.n != n or c.k != part.k:
+                raise ShapeMismatchError("inner certificates must share depth and shape")
+            _check_same_scalars(c, first, f"between inner certificates 0 and {count}")
+            count += 1
+            yield _diag_parts(c)
+            del c  # not held while the next one is made
+
+    diags = DiagonalMatrix._sums(rows(), [n * D.size for D in first.diags], part.k)
+    if count != n:
+        raise ShapeMismatchError(miscount)
+    # the inner scalars are equal bytes, so these are direct_sum's block diagonals
+    dsum = FactorizationCertificate(tuple(block_diag([a] * n) for a in first.alphas), diags)
     return conjugate(partition_row_decomposition(part), dsum)
 
 
@@ -309,13 +331,14 @@ def pinch_assembly(x: BlockMatrix, part: ProjectionPartition, inner):
     """Pinch certificate built from x / ||x||, scaled back to cost <= ||x||.
 
     ``inner(xs, m)`` certifies the piece of the normalized input xs for
-    partition element m at cost <= 1.  Returns ``(certificate, ||x||)``.
+    partition element m at cost <= 1; the pieces are made one at a time
+    as :func:`pinch_certificate` takes them.  Returns ``(certificate, ||x||)``.
     The normalization's one purpose is bit-compatibility with ``perfbench/reference.json``:
     building from x itself changes the bits of the diagonals.
     """
     nrm = operator_norm(x)
     xs = x * (1.0 / nrm) if nrm > 0 else x
-    cert = pinch_certificate([inner(xs, m) for m in range(part.n)], part)
+    cert = pinch_certificate((inner(xs, m) for m in range(part.n)), part)
     return (cert.scaled(nrm) if nrm > 0 else cert), nrm
 
 

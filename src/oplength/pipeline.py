@@ -90,9 +90,8 @@ def assemble_from_approximant(z: BlockMatrix, near_cert: FactorizationCertificat
 
     Returns ``(report, certificate)``.
     """
-    zprime = evaluate(near_cert)
     K = cost(near_cert)
-    x = z - zprime
+    x = z - evaluate(near_cert)
     n, k = z.n, z.k
     depth = max(near_cert.d, 3)
     mass = block_l2(x)
@@ -107,7 +106,9 @@ def assemble_from_approximant(z: BlockMatrix, near_cert: FactorizationCertificat
         fam = family_from_projections(split.p, split.q, n)
         comp_cert = pad_to(factor_through_family(x, fam), depth)
         rem_cert = pad_to(universal_depth1(split.remainder), depth)
+        del x, split, fam  # not held through the sums, nor the pieces through the final verify
         total = add(add(pad_to(near_cert, depth), comp_cert), rem_cert)
+        del comp_cert, rem_cert
     bound = K + 2 + 3 * eps_used * n ** 2.5
     return _report(total, z, eps_used, bound, 1e-6, {"K": K, "defect_l2": mass}), total
 

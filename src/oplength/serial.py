@@ -105,6 +105,9 @@ def _document(text: str, scalars, lists) -> dict:
 
     The ``scalars`` and the items of a ``widths`` list must be JSON integers:
     1.0 and true compare equal to 1, so the shape checks would take them.
+    The ``lists`` may hold no true or false, which ``np.asarray`` reads as 1.0
+    and 0.0; no key the format writes has a "u" or an "f", so the lists are
+    only scanned when the text has one (a string search: about 1 ms at 18 MB).
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -120,7 +123,15 @@ def _document(text: str, scalars, lists) -> dict:
     for name, v in ints:
         if type(v) is not int:
             raise ValueError(f"{name}: expected an integer, got {json.dumps(v)}")
+    if "u" in text or "f" in text:
+        for name in lists:
+            if _holds_bool(doc[name]):
+                raise ValueError(f"{name}: expected numbers, got a JSON boolean")
     return doc
+
+
+def _holds_bool(v) -> bool:
+    return type(v) is bool or (type(v) is list and any(map(_holds_bool, v)))
 
 
 def _decode_complex(data, name: str) -> np.ndarray:

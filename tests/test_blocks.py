@@ -291,6 +291,15 @@ class TestDiagonalNorm:
         expected = DiagonalMatrix(summed.entries).norm()
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
+    def test_public_constructor_copies_and_derived_entries_are_read_only(self, rng):
+        a = random_entries(rng, 3, 2)
+        D = DiagonalMatrix(a)
+        assert not np.shares_memory(D.entries, a)
+        summed, = DiagonalMatrix._sums([[(D, 2.0)], [(D, 1)]], [6], 2)
+        for E in (D, D.scaled(2.0), D.adjoint(), summed):
+            assert E.entries.dtype == np.complex128 and not E.entries.flags.writeable
+        np.testing.assert_array_equal(summed.entries, np.concatenate([a * 2.0, a]))
+
     def test_scaled_by_one_is_the_same_object(self, rng):
         D = _repeated_diagonal("repeat", 3, rng)
         assert D.scaled(1.0) is D and D.scaled(1) is D

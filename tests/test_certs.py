@@ -35,7 +35,26 @@ from oplength import certs
 from oplength.blocks import block_diag, scalar_norm
 from oplength.certs import rebalance, rebalance_diags
 
-from conftest import random_block, random_certificate, random_entries
+from conftest import assert_same_bytes, random_block, random_certificate, random_entries
+
+
+def _rebalance_then_sum(cu, cv):
+    """add as it was composed: rebalance each, direct-sum, then concatenate the outer scalars."""
+    cu, cv = rebalance(cu), rebalance(cv)
+    s = direct_sum([cu, cv])
+    alphas = (
+        (np.hstack([cu.alphas[0], cv.alphas[0]]),)
+        + s.alphas[1:-1]
+        + (np.vstack([cu.alphas[-1], cv.alphas[-1]]),)
+    )
+    return FactorizationCertificate(alphas, s.diags)
+
+
+def _of_kind(D, kind):
+    """D itself, its zero, or the unit diagonal of its shape (norm exactly 1)."""
+    if kind == "zero":
+        return DiagonalMatrix(np.zeros_like(D.entries))
+    return DiagonalMatrix.unit(D.size, D.k) if kind == "unit" else D
 
 
 class TestEvaluateAndCost:
@@ -335,6 +354,35 @@ class TestAdd:
         report = verify(add(c, c), BlockMatrix.from_dense(2 * eye, 1))
         assert report.passed and report.recon_error == 0.0
         assert report.cost == pytest.approx(2.0, rel=1e-12)
+
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 3), zero_alpha=st.booleans(),
+           kinds=st.lists(st.sampled_from(["random", "zero", "unit"]), min_size=6, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_of_the_rebalanced_direct_sum(self, seed, d, zero_alpha, kinds):
+        # zero and norm-1 diagonals take factor 1, the path that copies and keeps norms
+        rng = np.random.default_rng(seed)
+        n, k = (int(v) for v in rng.integers(1, 4, size=2))
+        pair = []
+        for j in range(2):
+            c = random_certificate(rng, n=n, k=k, d=d,
+                                   widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
+            alphas = (0 * c.alphas[0],) + c.alphas[1:] if zero_alpha and j else c.alphas
+            diags = tuple(_of_kind(D, kind) for D, kind in zip(c.diags, kinds[3 * j:]))
+            pair.append(FactorizationCertificate(alphas, diags))
+        assert_same_bytes(add(*pair), _rebalance_then_sum(*pair))
+
+    def test_peak_memory_is_about_the_sum(self):
+        # rebalanced copies of both inputs, concatenated into a third array, peaked at 2.07x
+        cu, _ = CONSTRUCTIONS["t13"].build(random_instance(6, 24, 1))
+        cv, _ = CONSTRUCTIONS["t13"].build(random_instance(6, 24, 2))
+        tracemalloc.start()
+        try:
+            total = add(cu, cv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(D.entries.nbytes for D in total.diags)
+        assert peak < 1.5 * size, f"peak {peak} bytes for {size} bytes of summed diagonals"
 
     def test_depth_mismatch_rejected(self, rng):
         cu = random_certificate(rng, d=1, widths=(3,))

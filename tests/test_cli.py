@@ -153,6 +153,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(named)):
             from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("kind, field, path", [
+        ("instance", "blocks", (0, 0, 0, 0, 0)),
+        ("certificate", "alphas", (1, 0, 0, 1)),
+        ("certificate", "diags", (0, 0, 0, 0, 0)),
+    ])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_array_entries_must_not_be_json_booleans(self, kind, field, path, value):
+        # np.asarray would read true and false as 1.0 and 0.0
+        eye = np.eye(1)
+        to_json, from_json, obj = {
+            "instance": (instance_to_json, instance_from_json, BlockMatrix(np.ones((1, 1, 1, 1)))),
+            "certificate": (certificate_to_json, certificate_from_json,
+                            FactorizationCertificate((eye, eye), (DiagonalMatrix(np.ones((1, 1, 1))),))),
+        }[kind]
+        doc = json.loads(to_json(obj))
+        entry = doc[field]
+        for i in path[:-1]:
+            entry = entry[i]
+        entry[path[-1]] = value
+        with pytest.raises(ValueError, match=f"{field}: expected numbers, got a JSON boolean"):
+            from_json(json.dumps(doc))
+
     def test_certificate_header_check(self, rng):
         doc = json.loads(certificate_to_json(universal_depth1(random_block(rng, 2, 2, 2))))
         doc["d"] = 5
@@ -407,6 +429,8 @@ class TestCli:
          "no_such_dir"),
         (["factor", "--instance", "{float_n}", "--construction", "length1"],
          "n: expected an integer, got 1.0"),
+        (["factor", "--instance", "{bool_entry}", "--construction", "length1"],
+         "blocks: expected numbers, got a JSON boolean"),
     ], ids=["factor-t13-3x4", "factor-lemma5-3x4", "uniformity-t13-3x4", "gen-blockdiag-3x4",
             "bench-unknown-name", "bench-nothing-applicable", "bench-empty-range",
             "bench-zero-trials", "bench-bad-range-item", "cb-empty-spec", "cb-bad-spec",
@@ -414,7 +438,7 @@ class TestCli:
             "gen-blockdiag-overflowing-noise", "gen-negative-seed",
             "cb-negative-seed", "bench-negative-seed", "gen-missing-k",
             "factor-unknown-construction", "gen-bad-int", "factor-out-missing-dir",
-            "factor-float-header"])
+            "factor-float-header", "factor-boolean-entry"])
     def test_usage_error_is_one_stderr_line_naming_the_rule(self, tmp_path, capsys, argv, named):
         files = {"{missing}": str(tmp_path / "nope.json"),
                  "{nodir}": str(tmp_path / "no_such_dir" / "cert.json")}
@@ -426,6 +450,10 @@ class TestCli:
             files["{float_n}"] = str(tmp_path / "float_n.json")
             with open(files["{float_n}"], "w") as f:
                 f.write('{"n": 1.0, "k": true, "blocks": [[[[[1.0, 0.0]]]]]}')
+        if "{bool_entry}" in argv:
+            files["{bool_entry}"] = str(tmp_path / "bool_entry.json")
+            with open(files["{bool_entry}"], "w") as f:
+                f.write('{"n": 1, "k": 1, "blocks": [[[[[true, false]]]]]}')
         capsys.readouterr()
         assert main([files.get(a, a) for a in argv]) == 2
         out = capsys.readouterr()

@@ -1,6 +1,7 @@
 """The explicit factorization constructions and their cost guarantees."""
 
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +17,12 @@ from oplength import (
     ProjectionPartition,
     ShapeMismatchError,
     UniformityError,
+    conjugate,
     corner_embedding_certificate,
     cost,
     diagonal_embedding_certificate,
     diagonal_partition,
+    direct_sum,
     evaluate,
     factor_through_family,
     family_from_projections,
@@ -35,9 +38,10 @@ from oplength import (
     verify,
 )
 from oplength.blocks import block_diag
+from oplength.certs import rebalance_diags
 from oplength.instances import random_instance
 
-from conftest import random_block, random_entries
+from conftest import assert_same_bytes, random_block, random_entries
 
 
 def entry_max(x):
@@ -421,6 +425,66 @@ class TestPinchCertificate:
         largest = max(cost(c) for c in inners)
         assert np.abs(evaluate(out).blocks - expected).max() <= 1e-10 * max(1.0, largest)
         assert cost(out) <= largest * (1 + 1e-9)
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), r=st.integers(1, 2),
+           d=st.integers(1, 3),
+           kinds=st.lists(st.sampled_from(["random", "zero", "unit", "known"]), min_size=9,
+                          max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_of_the_rebalanced_direct_sum(self, seed, n, r, d, kinds):
+        # zero and norm-1 diagonals keep factor 1 and their norms; "known" has its norm computed
+        rng = np.random.default_rng(seed)
+        k = n * r
+        part = diagonal_partition(n, k)
+        widths = (n,) + tuple(int(w) for w in rng.integers(1, 4, size=d)) + (n,)
+        alphas = tuple(
+            rng.standard_normal((widths[i], widths[i + 1]))
+            + 1j * rng.standard_normal((widths[i], widths[i + 1]))
+            for i in range(d + 1)
+        )
+        inners = []
+        for m in range(n):
+            diags = []
+            for i, w in enumerate(widths[1:-1]):
+                kind = kinds[(3 * m + i) % len(kinds)]
+                if kind == "zero":
+                    D = DiagonalMatrix(np.zeros((w, k, k)))
+                elif kind == "unit":
+                    D = DiagonalMatrix.unit(w, k)
+                else:
+                    D = DiagonalMatrix(rng.uniform(0.1, 10) * random_entries(rng, w, k))
+                    if kind == "known":
+                        D.norm()
+                diags.append(D)
+            inners.append(FactorizationCertificate(alphas, tuple(diags)))
+        got = pinch_certificate((c for c in inners), part)
+        want = conjugate(partition_row_decomposition(part),
+                         direct_sum(rebalance_diags(c) for c in inners))
+        assert_same_bytes(got, want)
+
+    def test_inner_certificates_are_let_go_one_at_a_time(self):
+        n, k = 4, 8
+        eye = np.eye(n, dtype=complex)
+        made = []
+
+        def inner(m):
+            # the first is kept for the checks; every later one is gone before the next is made
+            assert sum(ref() is not None for ref in made[1:]) == 0, m
+            c = FactorizationCertificate((eye, eye, eye),
+                                         (DiagonalMatrix.unit(n, k), DiagonalMatrix.unit(n, k)))
+            made.append(weakref.ref(c))
+            return c
+
+        out = pinch_certificate((inner(m) for m in range(n)), diagonal_partition(n, k))
+        assert len(made) == n and out.d == 4
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_one_inner_certificate_per_element(self, count):
+        eye = np.eye(2, dtype=complex)
+        inners = (FactorizationCertificate((eye, eye), (DiagonalMatrix.unit(2, 4),))
+                  for _ in range(count))
+        with pytest.raises(ShapeMismatchError, match="one inner certificate per partition"):
+            pinch_certificate(inners, diagonal_partition(2, 4))
 
     def test_inner_scalars_must_agree(self):
         # each inner has cost 1, but summing them would give cost 100 for a value of norm 1
