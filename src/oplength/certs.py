@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,9 +124,6 @@ class VerificationReport:
     ratio: float
     tol: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # bytes of one chunk's widest intermediate in evaluate: a certificate whose whole

@@ -17,6 +17,7 @@ import ctypes
 import io
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def cmd_factor(args) -> int:
         "k": x.k,
         "depth": cert.d,
         "target_norm": report.lower,
-        **report.as_dict(),
+        **asdict(report),
     }
     if args.out:
         _write_out(serial.json_pieces(cert), args.out)
@@ -108,7 +109,7 @@ def cmd_verify(args) -> int:
     with open(args.certificate) as f:
         cert = serial.certificate_from_json(f.read())
     report = verify(cert, x, args.tol)
-    print(serial.dump_report(report.as_dict()))
+    print(serial.dump_report(asdict(report)))
     return 0 if report.passed else CHECK_FAILED
 
 

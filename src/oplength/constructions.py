@@ -9,7 +9,6 @@ values.  Only the diagonal factors carry the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -281,11 +280,12 @@ def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     return RowDecomposition(alpha0, DiagonalMatrix._adopt(entries), np.kron(W, eyen))
 
 
-def pinch_certificate(inner_certs, part: ProjectionPartition):
+def pinch_certificate(inner, part: ProjectionPartition):
     """Depth d+2 certificate for [sum_m p_m X_m(i, j) p_m].
 
-    The inner certificates (one per partition element, any iterable) are
-    direct-summed and conjugated by the partition row decomposition on
+    ``inner(m)`` makes the inner certificate for partition element m; it is
+    called once for each m = 0, ..., n-1, in order.  The inner certificates
+    are direct-summed and conjugated by the partition row decomposition on
     both sides.  They must share widths and scalar factors bitwise, as one
     construction's certificates of one shape do (:class:`UniformityError`
     otherwise), so the cost is at most the largest inner cost: the row
@@ -293,35 +293,24 @@ def pinch_certificate(inner_certs, part: ProjectionPartition):
     inner certificates costs as much as its largest summand.  part must be
     a partition (exact for :func:`diagonal_partition`), else verify fails.
 
-    The value is ``conjugate(row, direct_sum(rebalance_diags(c) for c in
-    inner_certs))`` bit for bit, but the inner certificates are taken one
-    at a time: each is checked against the first, its rebalanced diagonals
-    are written straight into the summed ones, and it is let go before the
-    next is taken, so a generator of them is consumed once and its
+    The value is ``conjugate(row, direct_sum(rebalance_diags(inner(m)) for m
+    in range(n)))`` bit for bit, but each inner certificate is checked
+    against ``inner(0)``, its rebalanced diagonals are written straight into
+    the summed ones, and it is let go before the next is made, so the inner
     certificates need not be live together.
     """
-    miscount = "need one inner certificate per partition element"
-    n, certs = part.n, iter(inner_certs)
-    first = next(certs, None)
-    if first is None:
-        raise ShapeMismatchError(miscount)
-    count = 0
+    n, first = part.n, inner(0)
 
     def rows():
-        nonlocal count
-        for c in chain([first], certs):
-            if count == n:
-                raise ShapeMismatchError(miscount)
+        for m in range(n):
+            c = inner(m) if m else first
             if c.d != first.d or c.n != n or c.k != part.k:
                 raise ShapeMismatchError("inner certificates must share depth and shape")
-            _check_same_scalars(c, first, f"between inner certificates 0 and {count}")
-            count += 1
+            _check_same_scalars(c, first, f"between inner certificates 0 and {m}")
             yield _diag_parts(c)
             del c  # not held while the next one is made
 
     diags = DiagonalMatrix._sums(rows(), [n * D.size for D in first.diags], part.k)
-    if count != n:
-        raise ShapeMismatchError(miscount)
     # the inner scalars are equal bytes, so these are direct_sum's block diagonals
     dsum = FactorizationCertificate(tuple(block_diag([a] * n) for a in first.alphas), diags)
     return conjugate(partition_row_decomposition(part), dsum)
@@ -331,14 +320,14 @@ def pinch_assembly(x: BlockMatrix, part: ProjectionPartition, inner):
     """Pinch certificate built from x / ||x||, scaled back to cost <= ||x||.
 
     ``inner(xs, m)`` certifies the piece of the normalized input xs for
-    partition element m at cost <= 1; the pieces are made one at a time
-    as :func:`pinch_certificate` takes them.  Returns ``(certificate, ||x||)``.
+    partition element m at cost <= 1; :func:`pinch_certificate` asks for
+    the pieces by index, one at a time.  Returns ``(certificate, ||x||)``.
     The normalization's one purpose is bit-compatibility with ``perfbench/reference.json``:
     building from x itself changes the bits of the diagonals.
     """
     nrm = operator_norm(x)
     xs = x * (1.0 / nrm) if nrm > 0 else x
-    cert = pinch_certificate((inner(xs, m) for m in range(part.n)), part)
+    cert = pinch_certificate(lambda m: inner(xs, m), part)
     return (cert.scaled(nrm) if nrm > 0 else cert), nrm
 
 

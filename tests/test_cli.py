@@ -28,7 +28,7 @@ from oplength import (
     universal_depth1,
 )
 import oplength
-from oplength import certs, pipeline
+from oplength import certs, pipeline, serial
 from oplength.cli import _write_out, main
 from oplength.serial import (
     _complex_json,
@@ -174,6 +174,19 @@ class TestSerialization:
         entry[path[-1]] = value
         with pytest.raises(ValueError, match=f"{field}: expected numbers, got a JSON boolean"):
             from_json(json.dumps(doc))
+
+    def test_null_claimed_cost_does_not_scan_the_lists(self, monkeypatch):
+        # a cost that overflows is written as null, which has no true or false token
+        cert = FactorizationCertificate(
+            (np.array([[1e200, 1.0]]), np.array([[1.0], [1e-200]])),
+            (DiagonalMatrix(np.array([1e-200, 1e200]).reshape(2, 1, 1)),),
+        )
+        text = certificate_to_json(cert)
+        assert json.loads(text)["claimed_cost"] is None
+        calls = []
+        monkeypatch.setattr(serial, "_holds_bool", lambda v: calls.append(v) or False)
+        assert certificate_from_json(text).widths == cert.widths
+        assert calls == []
 
     def test_certificate_header_check(self, rng):
         doc = json.loads(certificate_to_json(universal_depth1(random_block(rng, 2, 2, 2))))
