@@ -37,7 +37,7 @@ class ShapeMismatchError(ValueError):
 
 def _as_blocks(blocks) -> np.ndarray:
     b = np.array(blocks, dtype=np.complex128)
-    if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
+    if b.ndim != 4 or b.shape[0] != b.shape[1] or not 0 < b.shape[2] == b.shape[3]:
         raise ShapeMismatchError(f"expected (n, n, k, k) blocks, got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("non-finite entries")
@@ -68,7 +68,7 @@ class BlockMatrix:
     @classmethod
     def from_dense(cls, dense: np.ndarray, k: int) -> "BlockMatrix":
         dense = np.asarray(dense, dtype=np.complex128)
-        if dense.shape[0] % k or dense.shape[1] % k:
+        if k < 1 or dense.shape[0] % k or dense.shape[1] % k:
             raise ShapeMismatchError(f"dense shape {dense.shape} not divisible by k={k}")
         m, n = dense.shape[0] // k, dense.shape[1] // k
         blocks = dense.reshape(m, k, n, k).transpose(0, 2, 1, 3)
@@ -115,7 +115,7 @@ class DiagonalMatrix:
         self._set_entries(np.array(self.entries, dtype=np.complex128))
 
     def _set_entries(self, e: np.ndarray):
-        if e.ndim != 3 or e.shape[1] != e.shape[2]:
+        if e.ndim != 3 or not 0 < e.shape[1] == e.shape[2]:
             raise ShapeMismatchError(f"expected (N, k, k) entries, got {e.shape}")
         object.__setattr__(self, "entries", e)
         e.setflags(write=False)
@@ -204,16 +204,15 @@ def block_diag(mats) -> np.ndarray:
 
 
 def scalar_norm(alpha: np.ndarray) -> float:
-    a = np.asarray(alpha, dtype=np.complex128)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """Spectral norm of a scalar factor; certificates make these non-empty complex matrices."""
+    return float(np.linalg.norm(alpha, 2))
 
 
 def operator_norm(x) -> float:
-    """Largest singular value of x (BlockMatrix or plain ndarray)."""
-    d = x.dense() if isinstance(x, BlockMatrix) else np.asarray(x, dtype=np.complex128)
-    if not np.all(np.isfinite(d)):
+    """Largest singular value of x (a BlockMatrix, finite by construction, or a checked array)."""
+    if isinstance(x, BlockMatrix):
+        d = x.dense()
+    elif not np.all(np.isfinite(d := np.asarray(x, dtype=np.complex128))):
         raise ValueError("non-finite entries")
     if d.size == 0:
         return 0.0

@@ -192,9 +192,9 @@ def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) ->
     where the norm itself does.  (Squares of scaled components under 2**-511
     may underflow: an error below sqrt(N) 2**-536 relative to r, inside the margin.)
 
-    The bound, the cost and ||x|| are kept on the certificate under x's
-    shape and blake2b digest, so a repeat costs one hash; tol only enters
-    the verdict.  A non-finite cost fails; ValueError unless 0 <= tol < inf.
+    The bound, the cost and ||x|| are kept on the certificate under x's blake2b
+    digest (x's shape is the certificate's), so a repeat costs one hash; tol only
+    enters the verdict.  A non-finite cost fails; ValueError unless 0 <= tol < inf.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
@@ -203,7 +203,7 @@ def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) ->
             f"certificate shape ({cert.n}, k={cert.k}) does not match "
             f"target ({x.n}x{x.n}, k={x.k})"
         )
-    key = (x.blocks.shape, hashlib.blake2b(np.ascontiguousarray(x.blocks)).digest())
+    key = hashlib.blake2b(np.ascontiguousarray(x.blocks)).digest()
     if key not in cert._verified:
         r = np.ravel(evaluate(cert).blocks - x.blocks).view(np.float64)
         e = int(np.frexp(np.abs(r).max(initial=0.0))[1])

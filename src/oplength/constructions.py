@@ -138,8 +138,8 @@ class ProjectionPartition:
 
 
 def diagonal_partition(n: int, k: int) -> ProjectionPartition:
-    """The n diagonal-block projections of M_k (requires n | k); 0/1 data, exact relations."""
-    if k % n:
+    """The n diagonal-block projections of M_k (n >= 1 dividing k); 0/1 data, exact relations."""
+    if n < 1 or k % n:
         raise ShapeMismatchError(f"the diagonal partition needs n | k, got n={n}, k={k}")
     eye = np.eye(n, dtype=np.complex128)
     return ProjectionPartition(np.stack([np.kron(np.diag(e), np.eye(k // n)) for e in eye]))
@@ -294,7 +294,7 @@ def pinch_certificate(inner, part: ProjectionPartition):
     a partition (exact for :func:`diagonal_partition`), else verify fails.
 
     The value is ``conjugate(row, direct_sum(rebalance_diags(inner(m)) for m
-    in range(n)))`` bit for bit, but each inner certificate is checked
+    in range(n)))`` bit for bit, but each later inner certificate is checked
     against ``inner(0)``, its rebalanced diagonals are written straight into
     the summed ones, and it is let go before the next is made, so the inner
     certificates need not be live together.
@@ -306,7 +306,8 @@ def pinch_certificate(inner, part: ProjectionPartition):
             c = inner(m) if m else first
             if c.d != first.d or c.n != n or c.k != part.k:
                 raise ShapeMismatchError("inner certificates must share depth and shape")
-            _check_same_scalars(c, first, f"between inner certificates 0 and {m}")
+            if m:
+                _check_same_scalars(c, first, f"between inner certificates 0 and {m}")
             yield _diag_parts(c)
             del c  # not held while the next one is made
 
@@ -322,8 +323,8 @@ def pinch_assembly(x: BlockMatrix, part: ProjectionPartition, inner):
     ``inner(xs, m)`` certifies the piece of the normalized input xs for
     partition element m at cost <= 1; :func:`pinch_certificate` asks for
     the pieces by index, one at a time.  Returns ``(certificate, ||x||)``.
-    The normalization's one purpose is bit-compatibility with ``perfbench/reference.json``:
-    building from x itself changes the bits of the diagonals.
+    The normalization only keeps bytes: building from x itself changes the bits of the
+    ``t13`` and ``sub19`` certificates, files and reports and of ``perfbench/reference.json``.
     """
     nrm = operator_norm(x)
     xs = x * (1.0 / nrm) if nrm > 0 else x

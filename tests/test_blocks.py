@@ -61,6 +61,15 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             BlockMatrix(np.full((1, 1, 2, 2), np.nan))
 
+    def test_plain_array_is_checked_finite(self):
+        # a BlockMatrix refused non-finite entries when it was made; a plain array is checked here
+        with pytest.raises(ValueError, match="non-finite entries"):
+            operator_norm(np.array([[1.0, np.nan]]))
+
+    def test_empty_is_zero(self):
+        assert operator_norm(np.zeros((0, 3))) == 0.0
+        assert operator_norm(BlockMatrix(np.zeros((0, 0, 2, 2)))) == 0.0
+
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_submultiplicative(self, seed):
@@ -217,6 +226,21 @@ class TestAlgebraInvariants:
             BlockMatrix(np.zeros((2, 3, 4, 4)))
         with pytest.raises(ShapeMismatchError, match=r"\(n, n, k, k\) blocks, got \(2, 3, 2, 2\)"):
             BlockMatrix.from_dense(np.zeros((4, 6)), 2)
+
+    @pytest.mark.parametrize("k", [3, 0])
+    def test_dense_shape_must_divide_into_blocks(self, k):
+        with pytest.raises(ShapeMismatchError, match=rf"dense shape \(4, 4\) not divisible by k={k}"):
+            BlockMatrix.from_dense(np.zeros((4, 4)), k)
+
+    @pytest.mark.parametrize("make, named", [
+        (lambda: BlockMatrix(np.zeros((1, 1, 0, 0))), "blocks, got (1, 1, 0, 0)"),
+        (lambda: DiagonalMatrix(np.zeros((2, 0, 0))), "entries, got (2, 0, 0)"),
+        (lambda: DiagonalMatrix.unit(2, 0), "entries, got (2, 0, 0)"),
+    ], ids=["block-matrix", "diagonal", "unit-diagonal"])
+    def test_block_order_zero_refused(self, make, named):
+        # over M_0 a certificate's evaluate would divide by k**2 for its chunk width
+        with pytest.raises(ShapeMismatchError, match=re.escape(named)):
+            make()
 
     def test_cstar_identity(self, rng):
         x = random_block(rng, 3, 3, 3)

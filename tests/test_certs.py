@@ -136,6 +136,8 @@ class TestEvaluateAndCost:
         ((2, 0, 2), "zero width at junction 0"),
         ((2, 3, 0, 2), "zero width at junction 1"),
         ((0, 3, 0), "zero outer width"),
+        ((2, 3, 4), "outer shape is not square"),
+        ((2, 2), "need d diagonals and d"),
     ])
     def test_zero_width_rejected(self, widths, named):
         alphas = tuple(np.ones((widths[i], widths[i + 1])) for i in range(len(widths) - 1))
@@ -390,6 +392,11 @@ class TestAdd:
         with pytest.raises(ShapeMismatchError):
             add(cu, cv)
 
+    @pytest.mark.parametrize("d, k", [(2, 2), (1, 3)], ids=["depth", "block-order"])
+    def test_direct_summands_must_share_depth_and_block_order(self, rng, d, k):
+        with pytest.raises(ShapeMismatchError, match="share depth and block order"):
+            direct_sum([random_certificate(rng, d=1, k=2), random_certificate(rng, d=d, k=k)])
+
 
 def _identity_row(n, k):
     eye = np.eye(n, dtype=complex)
@@ -418,6 +425,11 @@ class TestConjugate:
         inner = random_certificate(rng, n=2, k=2)
         out = conjugate(_identity_row(2, 2), inner)
         assert cost(out) <= cost(inner) * (1 + 1e-9)
+
+    def test_row_decomposition_widths_must_chain(self):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ShapeMismatchError, match="widths do not chain"):
+            RowDecomposition(eye, DiagonalMatrix.unit(3, 2), eye)
 
     def test_mismatched_row_rejected(self, rng):
         inner = random_certificate(rng, n=2, k=2)

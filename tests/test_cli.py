@@ -273,6 +273,17 @@ class TestCli:
             "verify", "--instance", str(inst), "--certificate", str(cert),
         ]) == 0
 
+    def test_factor_out_then_verify_at_1e200(self, tmp_path, capsys):
+        # a correct certificate verifies at any finite scale, and so does its file
+        inst = tmp_path / "x200.json"
+        inst.write_text(instance_to_json(random_instance(3, 12, 7, "blockdiag", 0) * 1e200))
+        cert = tmp_path / "cert200.json"
+        assert main(["factor", "--instance", str(inst), "--construction", "t13",
+                     "--out", str(cert)]) == 0
+        assert main(["verify", "--instance", str(inst), "--certificate", str(cert)]) == 0
+        factored, verified = map(json.loads, capsys.readouterr().out.splitlines())
+        assert verified["passed"] and verified == {k: factored[k] for k in verified}
+
     def test_verify_wrong_instance_fails(self, tmp_path, capsys):
         inst = self.run_gen(tmp_path)
         other = self.run_gen(tmp_path, seed=4, name="y.json")
@@ -323,20 +334,26 @@ class TestCli:
         assert doc["cost"] is None and doc["ratio"] is None
         assert doc["recon_error"] <= 1e-9 and not doc["passed"]
 
-    @pytest.mark.parametrize("d, value, want", [(1e-300, 1e100, 9.999999999999998e99),
-                                                (0.0, 0.0, 0.0)], ids=["tiny", "zero"])
-    def test_finite_cost_behind_overflowing_scalars_verifies(self, tmp_path, capsys, d, value,
-                                                             want):
-        # cost 1e200 * 1e200 * d: the two scalar norms alone overflow
-        eye = np.eye(2)
-        cert = FactorizationCertificate((1e200 * eye, 1e200 * eye),
-                                        (DiagonalMatrix(np.stack([d * eye] * 2)),))
+    @pytest.mark.parametrize("alphas, entries, value, want", [
+        ((1e200 * np.eye(2),) * 2, [1e-300 * np.eye(2)] * 2, 1e100,
+         [9.999999999999998e99, 0.9999999999999998]),
+        ((1e200 * np.eye(2),) * 2, [0.0 * np.eye(2)] * 2, 0.0, [0.0, 0.0]),
+        (([[1.0, 0.0]], [[10.0], [10.0]]), [[[0.0]], [[1.0]]], 0.0, [14.142135623730951, None]),
+    ], ids=["tiny", "zero", "zero-target"])
+    def test_finite_cost_behind_overflowing_scalars_verifies(self, tmp_path, capsys, alphas,
+                                                             entries, value, want):
+        # tiny, zero: cost 1e200 * 1e200 * d, where the two scalar norms alone overflow;
+        # zero-target: a positive cost over a zero target, whose ratio inf is written null
+        cert = FactorizationCertificate(alphas, (DiagonalMatrix(np.array(entries)),))
         inst = tmp_path / "x.json"
-        inst.write_text(instance_to_json(BlockMatrix.from_dense(value * np.eye(4), 2)))
+        inst.write_text(instance_to_json(
+            BlockMatrix.from_dense(value * np.eye(cert.n * cert.k), cert.k)))
         path = tmp_path / "cert.json"
         path.write_text(certificate_to_json(cert))
         assert main(["verify", "--instance", str(inst), "--certificate", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["cost"] == want
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert [doc["cost"], doc["ratio"]] == want and out.err == ""
 
     def test_non_finite_factor_named_on_load(self, tmp_path, capsys):
         inst, cert = self.overflow_files(tmp_path)
@@ -587,6 +604,23 @@ class TestCli:
         ]) == 0
         doc = json.loads(capsys.readouterr().out.strip())
         assert doc["stable"]
+
+    def test_uniformity_failure_is_a_report_with_exit_1(self, capsys, monkeypatch):
+        build = CONSTRUCTIONS["length1"].build
+
+        def input_scaled_scalars(x):
+            cert, target = build(x)
+            s = abs(x.blocks[0, 0, 0, 0])  # the first scalar factor now depends on the input
+            return FactorizationCertificate((cert.alphas[0] * s,) + cert.alphas[1:],
+                                            cert.diags), target
+
+        spec = replace(CONSTRUCTIONS["length1"], build=input_scaled_scalars)
+        monkeypatch.setitem(CONSTRUCTIONS, "length1", spec)
+        assert main(["uniformity", "--construction", "length1", "--n", "2", "--k", "2"]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {"stable": False,
+                                       "detail": "scalar factor 0 differs at trial 1"}
+        assert out.err == ""
 
     @pytest.mark.parametrize("command", ["factor", "verify", "bench"])
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])

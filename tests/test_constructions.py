@@ -134,6 +134,11 @@ class TestFactorThroughFamily:
         x = random_block(rng, n, n, k)
         assert not verify(factor_through_family(x, fam), x).passed
 
+    def test_shape_mismatch_rejected(self, rng):
+        fam = matrix_unit_family(2, 2, 1, 1)  # n = 2 over M_4
+        with pytest.raises(ShapeMismatchError, match="matrix and family shapes disagree"):
+            factor_through_family(random_block(rng, 3, 3, 4), fam)
+
 
 @pytest.fixture
 def validate_calls(monkeypatch):
@@ -496,6 +501,15 @@ class TestPinchCertificate:
         with pytest.raises(UniformityError, match="widths differ"):
             pinch_certificate([a, b].__getitem__, diagonal_partition(2, 4))
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_inner_shape_must_match_the_partition(self, m):
+        # the first inner is checked against the partition, each later one against it too
+        eye = np.eye(2, dtype=complex)
+        inners = [FactorizationCertificate((eye, eye), (DiagonalMatrix.unit(2, 4),))] * 2
+        inners[m] = FactorizationCertificate((eye, eye), (DiagonalMatrix.unit(2, 2),))
+        with pytest.raises(ShapeMismatchError, match="must share depth and shape"):
+            pinch_certificate(inners.__getitem__, diagonal_partition(2, 4))
+
 
 class TestDiagonalEmbedding:
     def test_zero(self):
@@ -524,6 +538,10 @@ class TestDiagonalEmbedding:
 
 
 class TestPinch:
+    def test_block_order_mismatch_rejected(self, rng):
+        with pytest.raises(ShapeMismatchError, match="block order mismatch"):
+            pinch(random_block(rng, 2, 2, 3), diagonal_partition(2, 4))
+
     def test_commuting_fixed_point(self, rng):
         n, k = 2, 4
         part = diagonal_partition(n, k)
@@ -613,6 +631,17 @@ class TestProjectionPartition:
         with pytest.raises(ValueError, match=re.escape("elements 1, 2 are not orthogonal")):
             ProjectionPartition(P).validate()
 
+    def test_rejects_sum_above_identity(self):
+        # three rank-one projections in M_3 whose vectors overlap pairwise by 0.9e-10: each
+        # product p_i p_j stays within the 1e-10 tolerance, but their sum has norm 1 + 1.8e-10
+        delta = 0.9e-10
+        gram = (1 - delta) * np.eye(3) + delta * np.ones((3, 3))
+        vals, vecs = np.linalg.eigh(gram)
+        u = (vecs * np.sqrt(vals)) @ vecs.T  # columns with inner products gram
+        P = np.stack([np.outer(u[:, m], u[:, m]) for m in range(3)]).astype(complex)
+        with pytest.raises(ValueError, match="partition sum exceeds the identity"):
+            ProjectionPartition(P).validate()
+
     @pytest.mark.parametrize("n,k,seed", [(1, 3, 0), (2, 4, 0), (3, 12, 1), (4, 16, 2)])
     def test_accepts_haar_rotated_partitions(self, n, k, seed):
         ProjectionPartition(haar_rotated_partition(n, k, seed)).validate()
@@ -620,3 +649,8 @@ class TestProjectionPartition:
     def test_indivisible_order(self):
         with pytest.raises(ShapeMismatchError, match=r"needs n \| k, got n=3, k=4"):
             diagonal_partition(3, 4)
+
+    def test_zero_parts_refused(self):
+        # n = 0 divides nothing: k % 0 would raise ZeroDivisionError
+        with pytest.raises(ShapeMismatchError, match=r"needs n \| k, got n=0, k=4"):
+            diagonal_partition(0, 4)

@@ -200,6 +200,11 @@ class TestConstructionsRegistry:
         want = pinch(x, diagonal_partition(n, k))
         assert target.blocks.tobytes() == want.blocks.tobytes()
 
+    @pytest.mark.parametrize("name", ["lemma5", "t13"])  # t13 through pinching_pipeline
+    def test_zero_size_is_refused_by_the_partition_rule(self, name):
+        with pytest.raises(ShapeMismatchError, match=r"needs n \| k, got n=0, k=4"):
+            CONSTRUCTIONS[name].build(BlockMatrix(np.zeros((0, 0, 4, 4))))
+
     @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
     def test_each_construction_verifies(self, name):
         spec = CONSTRUCTIONS[name]
@@ -215,6 +220,19 @@ class TestConstructionsRegistry:
         cert, target = CONSTRUCTIONS[name].build(random_instance(2, 4, 1) * scale)
         report = verify(cert, target, 1e-9)
         assert report.passed and np.isfinite(report.recon_error)
+
+
+class TestRandomInstance:
+    def test_haar_blocks_are_unitary_and_seeded(self):
+        x = random_instance(2, 3, 5, "haar")
+        assert x.blocks.tobytes() == random_instance(2, 3, 5, "haar").blocks.tobytes()
+        assert x.blocks.tobytes() != random_instance(2, 3, 6, "haar").blocks.tobytes()
+        for block in x.blocks.reshape(-1, 3, 3):
+            assert np.abs(block @ block.conj().T - np.eye(3)).max() <= 1e-12
+
+    def test_unknown_distribution_refused(self):
+        with pytest.raises(ValueError, match="unknown distribution 'nope'"):
+            random_instance(2, 2, 0, "nope")
 
 
 class TestUniformity:

@@ -40,6 +40,10 @@ class TestSimilarityHom:
         with pytest.raises(ValueError):
             SimilarityHom(np.zeros((2, 2)))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="xi must be square"):
+            SimilarityHom(np.ones((2, 3)))
+
     @pytest.mark.parametrize("entries", [[np.nan, 1], [1, np.nan], [complex(1, np.nan), 1],
                                          [np.inf, 1]])
     def test_rejects_non_finite_naming_xi(self, entries):
@@ -96,7 +100,9 @@ ASCENT_IDS = ["xi-10-1-1", "xi-4-2-1", "nilpotent-T"]
 
 
 class TestAscent:
-    @pytest.mark.parametrize("op", ASCENT_MAPS, ids=ASCENT_IDS)
+    # the zero map x -> xI - Ix has a zero gradient, so its ascent stops after one step
+    @pytest.mark.parametrize("op", ASCENT_MAPS + [_Commutator(np.eye(3))],
+                             ids=ASCENT_IDS + ["zero-map"])
     def test_value_is_the_norm_of_the_returned_iterate(self, op):
         # the starts of cb_lower_bound at levels 1-3, seeds 0-5, 10 restarts: 180 ascents per map
         k = op.k
