@@ -10,8 +10,9 @@ the base algebra, which leaves their operator norm unchanged.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,6 +30,13 @@ __all__ = [
     "fourier_unitary",
     "psd_sqrt",
 ]
+
+
+# A product through fixed zeros skips only exact-zero terms: each nonzero element is the dense
+# product's sum, bit for bit.  An all-zero sum is +0 in a whole tile of zgemm output columns but
+# can be -0 in a part tile (OpenBLAS, 4 columns a tile here; measured), so structured products
+# run only where the dense one has a multiple of this many output columns.
+_WHOLE_TILES = 8
 
 
 class ShapeMismatchError(ValueError):
@@ -138,7 +146,9 @@ class DiagonalMatrix:
         return self.entries.shape[1]
 
     @classmethod
+    @lru_cache(maxsize=16)
     def unit(cls, size: int, k: int) -> "DiagonalMatrix":
+        """The identity diagonal, one shared read-only instance per (size, k)."""
         return cls(np.broadcast_to(np.eye(k, dtype=np.complex128), (size, k, k)))
 
     def norm(self) -> float:
@@ -151,6 +161,44 @@ class DiagonalMatrix:
         # max is exact and a +0 start keeps a -0 singular value from deciding a tie
         return float(np.linalg.svd(self.entries, compute_uv=False).max(initial=0.0))
 
+    @cached_property
+    def _block(self):
+        """``(rows, cols, blocks)``: entry e is zero outside rows[e] x cols[e] and blocks[e] there.
+
+        Found from the exact zeros: index arrays over contiguous ranges, of one
+        shape for all entries, smaller than k x k with sides of at least 2 (a
+        side of 1 makes a matrix-vector product, other roundings); else None.
+        """
+        nz = self.entries != 0
+        index = []
+        for used in (nz.any(axis=2), nz.any(axis=1)):  # the nonzero rows, the nonzero columns
+            first = used.argmax(axis=1)
+            width = self.k - used[:, ::-1].argmax(axis=1) - first
+            s = int(width[0])
+            if s < 2 or np.any(width != s) or np.any(used.sum(axis=1) != s):
+                return None
+            index.append(first[:, None] + np.arange(s))
+        rows, cols = index
+        if rows.shape[1] == cols.shape[1] == self.k:
+            return None
+        at = np.arange(self.size)[:, None, None]
+        return rows, cols, self.entries[at, rows[:, :, None], cols[:, None, :]]
+
+    def _times(self, M: np.ndarray) -> np.ndarray:
+        """``entries @ M`` for a (size, k, w) stack M, through ``_block`` where w allows.
+
+        Gathers the rows of M the blocks' columns meet, runs one batched matmul
+        over the blocks and scatters it into zeros.
+        """
+        if M.shape[2] % _WHOLE_TILES or (block := self._block) is None:
+            return self.entries @ M
+        rows, cols, blocks = block
+        at = np.arange(self.size)[:, None]
+        part = blocks @ M[at, cols]
+        out = np.zeros(M.shape, dtype=np.complex128)
+        out[at, rows] = part
+        return out
+
     def adjoint(self) -> "DiagonalMatrix":
         return DiagonalMatrix._adopt(self.entries.conj().transpose(0, 2, 1))
 
@@ -159,35 +207,41 @@ class DiagonalMatrix:
         return self if c == 1 else DiagonalMatrix._adopt(self.entries * c)
 
     @classmethod
-    def _sums(cls, rows, sizes, k: int) -> tuple:
+    def _sums(cls, rows, sizes, k: int, norms=None) -> tuple:
         """Diagonal i of the result holds part i of each of ``rows``, one row after another.
 
-        A row is a sequence of ``(diagonal, factor)`` parts, and ``sizes[i]``
-        is the sum of the sizes of the rows' i-th parts.  Each part's
-        ``entries * factor``, the bytes of ``scaled``, is written straight
-        into its slice of one new (sizes[i], k, k) array (a factor of 1
-        copies), which the result adopts.  Rows are taken one at a time
-        and let go once written, so a generator's rows need not be live
-        together.  Diagonal i keeps the max of its parts' norms (exact) when
-        every part has factor 1 and a known norm.
+        A row is a sequence of ``(diagonal, factor, ...)`` parts, and
+        ``sizes[i]`` is the sum of the sizes of the rows' i-th parts.  Each
+        part's entries times each factor in turn, the bytes of chained
+        ``scaled`` calls (a factor of 1 is skipped, and a part with no other
+        copies), are written straight into its slice of one new (sizes[i], k, k)
+        array, which the result adopts.  Rows are taken one at a time and let
+        go once written, so a generator's rows need not be live together.
+        Diagonal i keeps ``norms[i]`` when given, else the max of its parts'
+        norms (exact) when every part is unscaled with a known norm.
         """
         outs = [np.empty((N, k, k), dtype=np.complex128) for N in sizes]
         at = [0] * len(sizes)
-        norms = [[] for _ in sizes]  # the parts' norms while all are unscaled and known
+        known = [[] for _ in sizes]  # the parts' norms while all are unscaled and known
         for row in rows:
-            for i, (D, c) in enumerate(row):
+            for i, (D, *factors) in enumerate(row):
                 part = outs[i][at[i]:at[i] + D.size]
-                if c == 1:
+                factors = [c for c in factors if c != 1]
+                if factors:
+                    np.multiply(D.entries, factors[0], out=part)
+                    for c in factors[1:]:
+                        part *= c
+                else:
                     part[...] = D.entries
-                else:
-                    np.multiply(D.entries, c, out=part)
                 at[i] += D.size
-                if norms[i] is not None and c == 1 and "_norm" in D.__dict__:
-                    norms[i].append(D._norm)
+                if known[i] is not None and not factors and "_norm" in D.__dict__:
+                    known[i].append(D._norm)
                 else:
-                    norms[i] = None
+                    known[i] = None
             del row, D  # not held while the next row is made
-        return tuple(cls._adopt(out, max(nrm) if nrm else None) for out, nrm in zip(outs, norms))
+        if norms is None:
+            norms = [max(nrm) if nrm else None for nrm in known]
+        return tuple(cls._adopt(out, nrm) for out, nrm in zip(outs, norms))
 
 
 def block_diag(mats) -> np.ndarray:
@@ -203,9 +257,24 @@ def block_diag(mats) -> np.ndarray:
     return out
 
 
+# (dtype, shape, blake2b digest of the bytes) -> spectral norm; floats only, least recently used dropped first
+_SCALAR_NORMS: dict = {}
+_SCALAR_NORMS_MAX = 256
+
+
 def scalar_norm(alpha: np.ndarray) -> float:
-    """Spectral norm of a scalar factor; certificates make these non-empty complex matrices."""
-    return float(np.linalg.norm(alpha, 2))
+    """Spectral norm of a scalar factor; certificates make these non-empty complex matrices.
+
+    Certificates of one shape share their scalar factors, so the float is kept
+    by content in a bounded memo holding no array: a repeat costs one hash.
+    """
+    key = (alpha.dtype.str, alpha.shape, hashlib.blake2b(np.ascontiguousarray(alpha)).digest())
+    if (norm := _SCALAR_NORMS.pop(key, None)) is None:
+        norm = float(np.linalg.norm(alpha, 2))
+    _SCALAR_NORMS[key] = norm  # put back last, so the least recently used go first
+    if len(_SCALAR_NORMS) > _SCALAR_NORMS_MAX:
+        del _SCALAR_NORMS[next(iter(_SCALAR_NORMS))]
+    return norm
 
 
 def operator_norm(x) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .blocks import (
     BlockMatrix,
     DiagonalMatrix,
     ShapeMismatchError,
+    _WHOLE_TILES,
     block_diag,
     operator_norm,
     scalar_norm,
@@ -110,6 +112,11 @@ class FactorizationCertificate:
         diags = (self.diags[0].scaled(c),) + self.diags[1:]
         return FactorizationCertificate(self.alphas, diags)
 
+    @cached_property
+    def _runs(self) -> tuple:
+        """:func:`_scalar_runs` of each scalar factor but the last, for :func:`evaluate`."""
+        return tuple(_scalar_runs(a) for a in self.alphas[:-1])
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -131,6 +138,49 @@ class VerificationReport:
 _EVALUATE_CHUNK_BYTES = 4 << 20
 
 
+def _scalar_runs(a: np.ndarray):
+    """a's runs ``(r, c, q, B)``, a[r:r + q br, c:c + q bc] = I_q (x) B, from its exact zeros.
+
+    The runs tile a's rows and columns in order, a is zero outside them, and
+    a run of blocks with a side of 1 (an identity's) is one dense block.
+    None where a has a zero row or column, is one dense block, or has a
+    block with a side of 1 (a matrix-vector product, other roundings).
+    """
+    nz = a != 0
+    if min(a.shape) < 2 or not (nz.any(axis=1).all() and nz.any(axis=0).all()):
+        return None
+    reach = np.maximum.accumulate(a.shape[1] - nz[:, ::-1].argmax(axis=1))  # rows [0, i] end there
+    start = np.minimum.accumulate(nz.argmax(axis=1)[::-1])[::-1]  # rows [i, R) start there
+    cuts = [0, *(np.flatnonzero(reach[:-1] <= start[1:]) + 1), a.shape[0]]
+    runs = []
+    for r0, r1 in zip(cuts, cuts[1:]):
+        c0 = int(reach[r0 - 1]) if r0 else 0
+        B = a[r0:r1, c0:reach[r1 - 1]]
+        if runs and runs[-1][3].shape == B.shape and runs[-1][3].tobytes() == B.tobytes():
+            runs[-1][2] += 1
+        else:
+            runs.append([int(r0), c0, 1, B])
+    runs = [(r, c, 1, a[r:r + q * B.shape[0], c:c + q * B.shape[1]]) if min(B.shape) < 2
+            else (r, c, q, B) for r, c, q, B in runs]
+    if len(runs) == 1 and runs[0][2] == 1 or any(min(B.shape) < 2 for *_, B in runs):
+        return None
+    return tuple((r, c, q, np.ascontiguousarray(B)) for r, c, q, B in runs)
+
+
+def _times_scalar(a: np.ndarray, runs, M: np.ndarray) -> np.ndarray:
+    """``tensordot(a, M, axes=(1, 0))`` for a (N, k, w) stack M, run by run where M[0].size allows.
+
+    A run I_q (x) B is one batched matmul of B over q slices of M.
+    """
+    if runs is None or M[0].size % _WHOLE_TILES:
+        return np.tensordot(a, M, axes=(1, 0))
+    out = np.empty((a.shape[0], M[0].size), dtype=np.complex128)
+    for r, c, q, B in runs:
+        br, bc = B.shape
+        np.matmul(B, M[c:c + q * bc].reshape(q, bc, -1), out=out[r:r + q * br].reshape(q, br, -1))
+    return out.reshape((a.shape[0],) + M.shape[1:])
+
+
 def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
     """The alternating product a_0 D_1 a_1 ... D_d a_d as a BlockMatrix.
 
@@ -141,22 +191,23 @@ def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
     D_d (a_d[:, cols] (x) I_k), whose block (e, j) is a_d[e, j] D_d[e]: one
     product per element, with no inflation built and no GEMM over its zeros
     (the bits of that GEMM where a_d is real, as every built certificate's
-    is).  The other scalar factors are applied through the block structure
-    rather than by materializing their inflations.
+    is).  The other factors are applied through the block structure rather
+    than by materializing their inflations, and by their fixed zeros where
+    they have them (:func:`_scalar_runs`, ``DiagonalMatrix._block``), with
+    the bits of the dense products (see ``blocks._WHOLE_TILES``).
     """
-    n, k = cert.n, cert.k
-    c = max(1, _EVALUATE_CHUNK_BYTES // (max(cert.widths) * k * k * 16))
+    n, k, widths = cert.n, cert.k, cert.widths
+    c = max(1, _EVALUATE_CHUNK_BYTES // (max(widths) * k * k * 16))
     out = np.empty((n, n, k, k), dtype=np.complex128)
     for j in range(0, n, c):
         D = cert.diags[-1].entries
         # C order whatever D's layout (an adjoint's is transposed), so the reshapes below are views
         M = np.multiply(D[:, :, None, :], cert.alphas[-1][:, None, j:j + c, None], order="C")
         for i in range(cert.d, 0, -1):
+            M = M.reshape(widths[i], k, -1)
             if i < cert.d:
-                D = cert.diags[i - 1].entries
-                M = D @ M.reshape(D.shape[0], k, -1)
-            a = cert.alphas[i - 1]
-            M = np.tensordot(a, M.reshape(D.shape[0], k, -1), axes=(1, 0))
+                M = cert.diags[i - 1]._times(M)
+            M = _times_scalar(cert.alphas[i - 1], cert._runs[i - 1], M)
         out[:, j:j + c] = M.reshape(n, k, -1, k).transpose(0, 2, 1, 3)
     return BlockMatrix(out)
 
@@ -235,27 +286,20 @@ def pad_to(cert: FactorizationCertificate, depth: int) -> FactorizationCertifica
     return cert
 
 
-def _unit_factors(diags):
-    """The factor taking each diagonal to norm 1 (1 for a zero one), and the nonzero norms."""
-    factors, norms = [], []
-    for D in diags:
-        nD = D.norm()
-        if nD > 0:
-            norms.append(nD)
-        factors.append(1.0 / nD if nD > 0 else 1)
-    return factors, norms
+def _unit_factors(norms):
+    """The factor taking each diagonal norm to 1 (1 for a zero one), and the nonzero norms."""
+    return [1.0 / v if v > 0 else 1 for v in norms], [v for v in norms if v > 0]
 
 
-def _rebalanced(cert: FactorizationCertificate):
+def _rebalanced(alphas, diag_norms):
     """:func:`rebalance`'s scalar factors, and the factor that scales each diagonal."""
-    factors, norms = _unit_factors(cert.diags)
-    alphas = [cert.alphas[0]]
-    for a in cert.alphas[1:]:
+    factors, norms = _unit_factors(diag_norms)
+    alphas = list(alphas)
+    for i, a in enumerate(alphas[1:], 1):
         na = scalar_norm(a)
         if na > 0:
             norms.append(na)
-            a = a / na
-        alphas.append(a)
+            alphas[i] = a / na
     alphas[0] = _times_norms(alphas[0], norms)
     c = scalar_norm(alphas[0])
     if c != 0:
@@ -270,14 +314,14 @@ def rebalance(cert: FactorizationCertificate) -> FactorizationCertificate:
     cost with a_d.  Zero factors are left in place (the value is then
     zero regardless).
     """
-    alphas, factors = _rebalanced(cert)
+    alphas, factors = _rebalanced(cert.alphas, [D.norm() for D in cert.diags])
     diags = tuple(D.scaled(c) for D, c in zip(cert.diags, factors))
     return FactorizationCertificate(tuple(alphas), diags)
 
 
 def _diag_parts(cert: FactorizationCertificate) -> list:
     """:func:`rebalance_diags`'s diagonals as (diagonal, factor) parts; diags[0] has the norms."""
-    factors, norms = _unit_factors(cert.diags[1:])
+    factors, norms = _unit_factors([D.norm() for D in cert.diags[1:]])
     first = cert.diags[0]
     if math.prod(norms) != 1:  # the test scaled(1) made: a plain product of 1 keeps the diagonal
         try:
@@ -324,8 +368,14 @@ def direct_sum(certs) -> FactorizationCertificate:
     return FactorizationCertificate(alphas, diags)
 
 
-def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> FactorizationCertificate:
-    """Certificate for evaluate(cu) + evaluate(cv) at the same depth.
+def _part_norm(part) -> float:
+    """The norm of a ``(diagonal, factor, ...)`` part of ``DiagonalMatrix._sums``, from its bytes."""
+    D, *factors = part
+    return DiagonalMatrix._sums([[part]], [D.size], D.k)[0].norm() if set(factors) - {1} else D.norm()
+
+
+def add(cu: FactorizationCertificate, cv: FactorizationCertificate, *more) -> FactorizationCertificate:
+    """Certificate for evaluate(cu) + evaluate(cv) (+ ... for ``more``) at the same depth.
 
     Both inputs are rebalanced (:func:`rebalance`: contractions inside,
     the cost split evenly between the two outer scalars); the leading
@@ -336,18 +386,30 @@ def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> Factoriza
     plain sum by Cauchy-Schwarz).  The rebalanced diagonals are never
     built: each summed diagonal is written once from the inputs' entries
     times their unit factors, with the bytes of the rebalance-then-sum.
+
+    ``add(u, v, w)`` has the bytes of ``add(add(u, v), w)`` but never builds
+    the diagonals of ``add(u, v)``: their norms come part by part (bit for bit,
+    as an SVD's max over a stack is the max over its parts).
     """
-    if cu.d != cv.d or cu.n != cv.n or cu.k != cv.k:
+    others = (cv, *more)
+    if any(c.d != cu.d or c.n != cu.n or c.k != cu.k for c in others):
         raise ShapeMismatchError("certificates must share depth, outer shape and block order")
-    (au, fu), (av, fv) = _rebalanced(cu), _rebalanced(cv)
-    alphas = (
-        (np.hstack([au[0], av[0]]),)
-        + tuple(block_diag(pair) for pair in zip(au[1:-1], av[1:-1]))
-        + (np.vstack([au[-1], av[-1]]),)
-    )
-    sizes = [Du.size + Dv.size for Du, Dv in zip(cu.diags, cv.diags)]
-    diags = DiagonalMatrix._sums([zip(cu.diags, fu), zip(cv.diags, fv)], sizes, cu.k)
-    return FactorizationCertificate(alphas, diags)
+    alphas, norms, rows = cu.alphas, [D.norm() for D in cu.diags], [[(D,) for D in cu.diags]]
+    for j, c in enumerate(others):
+        if j:  # the running sum's norms its unscaled parts left unknown, part by part
+            norms = [max(_part_norm(row[i]) for row in rows) if nrm is None else nrm
+                     for i, nrm in enumerate(norms)]
+        nv = [D.norm() for D in c.diags]
+        (au, fu), (av, fv) = _rebalanced(alphas, norms), _rebalanced(c.alphas, nv)
+        alphas = (
+            (np.hstack([au[0], av[0]]),)
+            + tuple(block_diag(pair) for pair in zip(au[1:-1], av[1:-1]))
+            + (np.vstack([au[-1], av[-1]]),)
+        )
+        rows = [[p + (f,) for p, f in zip(row, fu)] for row in rows] + [list(zip(c.diags, fv))]
+        norms = [max(nu, n) if f == g == 1 else None for nu, n, f, g in zip(norms, nv, fu, fv)]
+    sizes = [sum(row[i][0].size for row in rows) for i in range(cu.d)]
+    return FactorizationCertificate(alphas, DiagonalMatrix._sums(rows, sizes, cu.k, norms))
 
 
 @dataclass(frozen=True)
@@ -364,12 +426,18 @@ class RowDecomposition:
     w: np.ndarray
 
     def __post_init__(self):
-        a0 = np.asarray(self.alpha0, dtype=np.complex128)
-        w = np.asarray(self.w, dtype=np.complex128)
+        a0 = np.array(self.alpha0, dtype=np.complex128)
+        w = np.array(self.w, dtype=np.complex128)
         if a0.shape[1] != self.diag.size or w.shape[0] != self.diag.size:
             raise ShapeMismatchError("row decomposition widths do not chain")
-        object.__setattr__(self, "alpha0", a0)
-        object.__setattr__(self, "w", w)
+        for name, a in (("alpha0", a0), ("w", w)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def _diag_adjoint(self) -> DiagonalMatrix:
+        """diag's adjoint, made once: :func:`conjugate` puts it on the right."""
+        return self.diag.adjoint()
 
 
 def conjugate(row: RowDecomposition, inner: FactorizationCertificate) -> FactorizationCertificate:
@@ -386,5 +454,5 @@ def conjugate(row: RowDecomposition, inner: FactorizationCertificate) -> Factori
         + inner.alphas[1:-1]
         + (inner.alphas[-1] @ row.w.conj().T, row.alpha0.conj().T)
     )
-    diags = (row.diag,) + inner.diags + (row.diag.adjoint(),)
+    diags = (row.diag,) + inner.diags + (row._diag_adjoint,)
     return FactorizationCertificate(alphas, diags)

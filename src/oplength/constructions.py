@@ -8,7 +8,8 @@ values.  Only the diagonal factors carry the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +79,8 @@ class IsometryFamily:
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
+    # a and d are exact partial isometries, each stack of norm 1.0, the bits of its SVD
+    _isometric: bool = field(default=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -104,12 +107,13 @@ class IsometryFamily:
 
 @dataclass(frozen=True)
 class ProjectionPartition:
-    """n pairwise-orthogonal projections of normalized trace exactly 1/n."""
+    """n pairwise-orthogonal projections of normalized trace exactly 1/n; a read-only copy."""
 
     projections: np.ndarray  # (n, k, k)
 
     def __post_init__(self):
-        P = np.asarray(self.projections, dtype=np.complex128)
+        P = np.array(self.projections, dtype=np.complex128)
+        P.setflags(write=False)
         object.__setattr__(self, "projections", P)
 
     @property
@@ -137,8 +141,12 @@ class ProjectionPartition:
             raise ValueError("partition sum exceeds the identity")
 
 
+@lru_cache(maxsize=8)
 def diagonal_partition(n: int, k: int) -> ProjectionPartition:
-    """The n diagonal-block projections of M_k (n >= 1 dividing k); 0/1 data, exact relations."""
+    """The n diagonal-block projections of M_k (n >= 1 dividing k); 0/1 data, exact relations.
+
+    One shared read-only partition per (n, k), with its row decomposition.
+    """
     if n < 1 or k % n:
         raise ShapeMismatchError(f"the diagonal partition needs n | k, got n={n}, k={k}")
     eye = np.eye(n, dtype=np.complex128)
@@ -166,8 +174,9 @@ def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationC
     diagonal averages x against two constant-modulus unitaries, so each
     of its entries has norm at most ||x||.  Scalar factors are
     (identity, W, W, identity) with W the Fourier unitary of size n.
-    fam must satisfy its relations (exact for :func:`matrix_unit_family`,
-    checked in :func:`family_from_projections`); one that breaks them gives
+    fam must satisfy its relations (exact for :func:`matrix_unit_family` and
+    the diagonal partition's families, checked in
+    :func:`family_from_projections`); one that breaks them gives
     a certificate that fails ``verify`` against [p x_ij q], never a false pass.
     """
     if x.n != fam.n or x.k != fam.k:
@@ -175,13 +184,22 @@ def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationC
     n, k = x.n, x.k
     W = fourier_unitary(n)
     eps = np.sqrt(n) * W.conj()  # symmetric: eps[i, k] and eps[k, j]
-    t = np.einsum("iab,ijbc,jcd->ijad", fam.b, x.blocks, fam.c, optimize=True)
-    D2 = np.einsum("ik,kj,ijad->kad", eps, eps, t, optimize=True)
+    compress, average = _einsum_paths(n, k)
+    t = np.einsum("iab,ijbc,jcd->ijad", fam.b, x.blocks, fam.c, optimize=compress)
+    D2 = np.einsum("ik,kj,ijad->kad", eps, eps, t, optimize=average)
     eye = np.eye(n, dtype=np.complex128)
-    return FactorizationCertificate(
-        (eye, W, W, eye),
-        (DiagonalMatrix(fam.a), DiagonalMatrix(D2), DiagonalMatrix(fam.d)),
-    )
+    a, d = (DiagonalMatrix._adopt(np.array(s, dtype=np.complex128), 1.0) if fam._isometric
+            else DiagonalMatrix(s) for s in (fam.a, fam.d))
+    return FactorizationCertificate((eye, W, W, eye), (a, DiagonalMatrix(D2), d))
+
+
+@lru_cache(maxsize=16)
+def _einsum_paths(n: int, k: int) -> tuple:
+    """The contraction orders ``optimize=True`` picks for factor_through_family's two einsums."""
+    stack, blocks = (np.broadcast_to(np.complex128(0), s) for s in ((n, k, k), (n, n, k, k)))
+    eps = np.broadcast_to(np.complex128(0), (n, n))
+    return (np.einsum_path("iab,ijbc,jcd->ijad", stack, blocks, stack, optimize=True)[0],
+            np.einsum_path("ik,kj,ijad->kad", eps, eps, blocks, optimize=True)[0])
 
 
 def _unit(n: int, r: int, c: int) -> np.ndarray:
@@ -196,6 +214,8 @@ def matrix_unit_family(base_order: int, n: int, r: int, s: int) -> IsometryFamil
     p = q = e_rs (x) 1_B, a_i = e_ri (x) 1_B, b_j = e_js (x) 1_B and the
     same for c, d; all relations hold exactly and all norms are 1.
     """
+    if n < 1:
+        raise ShapeMismatchError(f"matrix units need n >= 1, got n={n}")
     if not (1 <= r <= n and 1 <= s <= n):
         raise IndexError(f"corner indices ({r}, {s}) out of range for n={n}")
     eyeB = np.eye(base_order)
@@ -228,20 +248,33 @@ def projection_isometries(p: np.ndarray, n: int) -> np.ndarray:
 
 
 def family_from_projections(p: np.ndarray, q: np.ndarray, n: int) -> IsometryFamily:
-    """Validated isometry family for [p x q], from orthogonal copies of p and q.
-
-    When q has the bytes of p its isometries are those of p (copied, as
-    the construction is deterministic), so they are built once.
-    """
+    """Validated isometry family for [p x q], from orthogonal copies of p and q."""
     p = np.asarray(p, dtype=np.complex128)
     q = np.asarray(q, dtype=np.complex128)
-    v = projection_isometries(p, n)
-    same = q.shape == p.shape and q.tobytes() == p.tobytes()
-    w = v.copy() if same else projection_isometries(q, n)
+    v, w = projection_isometries(p, n), projection_isometries(q, n)
     fam = IsometryFamily(p=p, q=q, a=v.conj().transpose(0, 2, 1), b=v,
                          c=w.conj().transpose(0, 2, 1), d=w)
     fam.validate()
     return fam
+
+
+def _diagonal_family(n: int, k: int, m: int) -> IsometryFamily:
+    """``family_from_projections(P[m], P[m], n)`` for P = diagonal_partition(n, k), in closed form.
+
+    With R the indices of block m and ``order`` R then the others, each
+    ascending, v_i[order[i r + t], R[t]] = 1 (r = k/n): the bytes of the eigh
+    path, with no eigh and no check, as 0/1 relations are exact.  Other
+    projections keep that path (eigh orders degenerate eigenvectors its own way).
+    """
+    p = diagonal_partition(n, k).projections[m]  # n | k checked there
+    r = k // n
+    R = np.arange(m * r, (m + 1) * r)
+    order = np.concatenate([R, np.delete(np.arange(k), R)])
+    v = np.zeros((n, k, k), dtype=np.complex128)
+    v[np.arange(n)[:, None], order.reshape(n, r), R] = 1
+    w = v.copy()
+    return IsometryFamily(p=p, q=p, a=v.conj().transpose(0, 2, 1), b=v,
+                          c=w.conj().transpose(0, 2, 1), d=w, _isometric=True)
 
 
 def lift(x: BlockMatrix, e: np.ndarray) -> BlockMatrix:
@@ -263,21 +296,33 @@ def corner_embedding_certificate(x: BlockMatrix, r: int, s: int) -> Factorizatio
     return factor_through_family(lift(x, _unit(x.n, s - 1, r - 1)), fam)
 
 
+# A larger row decomposition is made again in each call: kept on a shared partition, the 6 MB
+# of sub19's at (6, 12) raised a CLI run's peak memory by 8 MB, and the 2 MB of t13's at (8, 32)
+# a pinch run's by 1.2 MB, to save about 6 ms a call.
+_KEPT_ROW_BYTES = 512 << 10
+
+
 def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     """The block row with entries delta_ij p_m, written as scalar * diagonal * scalar.
 
     The leading scalar is n**-0.5 [I ... I], the diagonal entries are
     Fourier-weighted sums of the partition projections (norm <= 1), and
     the trailing scalar is the inflated Fourier unitary; the product
-    reproduces the row exactly and bounds its depth-1 cost by 1.
+    reproduces the row exactly and bounds its depth-1 cost by 1.  It is kept
+    on the partition, read-only like it, while its diagonal has at most
+    ``_KEPT_ROW_BYTES``.
     """
-    n, k = part.n, part.k
-    W = fourier_unitary(n)
-    eyen = np.eye(n, dtype=np.complex128)
-    alpha0 = np.hstack([eyen] * n) / np.sqrt(n)
-    dvals = np.einsum("im,iab->mab", np.sqrt(n) * W.conj(), part.projections)
-    entries = np.repeat(dvals, n, axis=0)  # entry at (m, j) is dvals[m]
-    return RowDecomposition(alpha0, DiagonalMatrix._adopt(entries), np.kron(W, eyen))
+    if (row := part.__dict__.get("_row")) is None:
+        n = part.n
+        W = fourier_unitary(n)
+        eyen = np.eye(n, dtype=np.complex128)
+        alpha0 = np.hstack([eyen] * n) / np.sqrt(n)
+        dvals = np.einsum("im,iab->mab", np.sqrt(n) * W.conj(), part.projections)
+        entries = np.repeat(dvals, n, axis=0)  # entry at (m, j) is dvals[m]
+        row = RowDecomposition(alpha0, DiagonalMatrix._adopt(entries), np.kron(W, eyen))
+        if entries.nbytes <= _KEPT_ROW_BYTES:
+            part.__dict__["_row"] = row
+    return row
 
 
 def pinch_certificate(inner, part: ProjectionPartition):

@@ -23,6 +23,7 @@ from .certs import (
 )
 from .constructions import (
     ProjectionPartition,
+    _diagonal_family,
     _unit,
     corner_embedding_certificate,
     diagonal_embedding_certificate,
@@ -107,7 +108,7 @@ def assemble_from_approximant(z: BlockMatrix, near_cert: FactorizationCertificat
         comp_cert = pad_to(factor_through_family(x, fam), depth)
         rem_cert = pad_to(universal_depth1(split.remainder), depth)
         del x, split, fam  # not held through the sums, nor the pieces through the final verify
-        total = add(add(pad_to(near_cert, depth), comp_cert), rem_cert)
+        total = add(pad_to(near_cert, depth), comp_cert, rem_cert)
         del comp_cert, rem_cert
     bound = K + 2 + 3 * eps_used * n ** 2.5
     return _report(total, z, eps_used, bound, 1e-6, {"K": K, "defect_l2": mass}), total
@@ -130,9 +131,8 @@ def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
     n, k = x.n, x.k
     part = diagonal_partition(n, k)
     px = pinch(x, part)
-    P = part.projections
     cert, nrm = pinch_assembly(
-        x, part, lambda xs, m: factor_through_family(xs, family_from_projections(P[m], P[m], n))
+        x, part, lambda xs, m: factor_through_family(xs, _diagonal_family(n, k, m))
     )
     eps = block_l2(x - px)
     report = _report(cert, px, eps, nrm * (1 + 1e-9), 1e-12,
@@ -155,9 +155,8 @@ def _build_length1(x: BlockMatrix):
 
 def _build_compression(x: BlockMatrix):
     # compress through the leading diagonal-block projection (needs n | k)
-    P = diagonal_partition(x.n, x.k).projections
-    cert = factor_through_family(x, family_from_projections(P[0], P[0], x.n))
-    return cert, pinch(x, ProjectionPartition(P[:1]))
+    cert = factor_through_family(x, _diagonal_family(x.n, x.k, 0))
+    return cert, pinch(x, ProjectionPartition(diagonal_partition(x.n, x.k).projections[:1]))
 
 
 def _build_corner(x: BlockMatrix):

@@ -21,7 +21,8 @@ from oplength import (
     spectral_projection,
 )
 
-from oplength.blocks import block_diag
+from oplength import blocks
+from oplength.blocks import block_diag, scalar_norm
 
 from conftest import random_block, random_entries, random_hermitian
 
@@ -270,6 +271,34 @@ def _repeated_diagonal(case, k, rng):
     minus = plus.copy()
     minus[:, 0, -1] = -0.0
     return DiagonalMatrix(np.concatenate([plus, minus, plus]))
+
+
+class TestScalarNorm:
+    def test_memo_returns_the_svd_bits_stays_bounded_and_keeps_no_array(self, rng, monkeypatch):
+        a = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        b = np.kron(np.eye(2), a[:2, :3])  # signed zeros from the complex products
+        for m in (a, a.T, a.conj().T, b, -b, np.ascontiguousarray(a.T)):
+            want = np.float64(np.linalg.norm(m, 2)).tobytes()
+            for _ in range(2):  # computed, then from the memo
+                assert np.float64(scalar_norm(m)).tobytes() == want
+        for i in range(blocks._SCALAR_NORMS_MAX + 5):
+            scalar_norm(a * (i + 2))
+            scalar_norm(b)  # used throughout, so kept while the others come and go
+        memo = blocks._SCALAR_NORMS
+        assert len(memo) == blocks._SCALAR_NORMS_MAX
+        assert all(type(v) is float for v in memo.values())
+        assert not any(isinstance(part, np.ndarray) for key in memo for part in key)
+        norm, calls = np.linalg.norm, []
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append(1) or norm(*a, **kw))
+        scalar_norm(b)
+        assert calls == []
+        scalar_norm(a * 2)  # the least recently used went first
+        assert calls == [1]
+
+    def test_unit_diagonal_is_shared_per_shape(self):
+        D = DiagonalMatrix.unit(3, 2)
+        assert DiagonalMatrix.unit(3, 2) is D and DiagonalMatrix.unit(2, 3) is not D
+        assert not D.entries.flags.writeable
 
 
 class TestDiagonalNorm:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oplength import (
     CONSTRUCTIONS,
+    assemble_from_approximant,
     BlockMatrix,
     DiagonalMatrix,
     FactorizationCertificate,
@@ -50,6 +51,38 @@ def _rebalance_then_sum(cu, cv):
     return FactorizationCertificate(alphas, s.diags)
 
 
+def _dense_evaluate(cert):
+    """evaluate with every factor applied as a dense product, no fixed zero used."""
+    with mock.patch.object(FactorizationCertificate, "_runs", property(lambda c: (None,) * c.d)), \
+            mock.patch.object(DiagonalMatrix, "_block", property(lambda D: None)):
+        return evaluate(cert)
+
+
+def _scalar_of_form(rng, rows, cols, q, form):
+    """A rows x cols scalar, q dividing both: dense, I_q (x) B, q blocks, or I_(q-1) (x) B and a block."""
+    def g(r, c):
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+    r, c = rows // q, cols // q
+    if form == "kron":
+        return np.kron(np.eye(q), g(r, c))  # 0 * complex: zeros of either sign
+    if form == "blocks":
+        return block_diag([g(r, c) for _ in range(q)])
+    if form == "mixed" and q > 1:
+        return block_diag([np.kron(np.eye(q - 1), g(r, c)), g(r, c)])
+    return g(rows, cols)
+
+
+def _one_block_entries(rng, N, k):
+    """N (k, k) entries, each zero outside one block of one shape, placed at random."""
+    sr, sc = (int(v) for v in rng.integers(1, k + 1, size=2))
+    out = np.zeros((N, k, k), dtype=complex)
+    for e in range(N):
+        i, j = (int(v) for v in rng.integers(0, (k - sr + 1, k - sc + 1)))
+        out[e, i:i + sr, j:j + sc] = random_entries(rng, 1, k)[0, :sr, :sc]
+    return out
+
+
 def _of_kind(D, kind):
     """D itself, its zero, or the unit diagonal of its shape (norm exactly 1)."""
     if kind == "zero":
@@ -84,11 +117,24 @@ class TestEvaluateAndCost:
         expected = BlockMatrix.from_dense(np.kron(W @ W, np.eye(k)), k)
         assert operator_norm(evaluate(cert) - expected) <= 1e-12
 
-    @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), k=st.integers(1, 4),
-           d=st.integers(1, 3), widths=st.lists(st.integers(1, 5), min_size=3, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_chunked_product_equals_dense_product(self, seed, n, k, d, widths):
-        cert = random_certificate(np.random.default_rng(seed), n=n, k=k, d=d, widths=widths)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), k=st.integers(1, 8),
+           d=st.integers(1, 3), widths=st.lists(st.integers(1, 5), min_size=3, max_size=3),
+           q=st.integers(1, 3),
+           forms=st.lists(st.sampled_from(["dense", "kron", "blocks", "mixed"]), min_size=4,
+                          max_size=4),
+           one_block=st.lists(st.booleans(), min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_product_equals_dense_product(self, seed, n, k, d, widths, q, forms,
+                                                  one_block):
+        # scalars with fixed zeros (I_q (x) B, diagonal blocks) and diagonals whose entries
+        # have one nonzero block each go through evaluate's structured steps
+        rng = np.random.default_rng(seed)
+        ws = (q * n,) + tuple(q * w for w in widths[:d]) + (q * n,)
+        alphas = tuple(_scalar_of_form(rng, ws[i], ws[i + 1], q, forms[i]) for i in range(d + 1))
+        diags = tuple(DiagonalMatrix(_one_block_entries(rng, w, k) if one else
+                                     random_entries(rng, w, k))
+                      for w, one in zip(ws[1:-1], one_block))
+        cert = FactorizationCertificate(alphas, diags)
         eye = np.eye(k)
         dense = np.kron(cert.alphas[0], eye)
         for D, a in zip(cert.diags, cert.alphas[1:]):
@@ -96,8 +142,23 @@ class TestEvaluateAndCost:
         # the default budget, then one byte: each block column its own chunk
         for budget in (certs._EVALUATE_CHUNK_BYTES, 1):
             with mock.patch.object(certs, "_EVALUATE_CHUNK_BYTES", budget):
-                value = evaluate(cert).dense()
-            assert np.abs(value - dense).max() <= 1e-12 * max(1.0, cost(cert)), budget
+                value = evaluate(cert)
+                assert value.blocks.tobytes() == _dense_evaluate(cert).blocks.tobytes(), budget
+            assert np.abs(value.dense() - dense).max() <= 1e-12 * max(1.0, cost(cert)), budget
+
+    @pytest.mark.parametrize("name", [*sorted(CONSTRUCTIONS), "assembly"])
+    def test_structured_product_has_the_dense_bytes(self, name):
+        for n, k in ((2, 4), (3, 6), (4, 8), (2, 6)):
+            x = random_instance(n, k, 3, "blockdiag", 0.1)
+            if name == "assembly":
+                near, _ = CONSTRUCTIONS["t13"].build(x)
+                _, cert = assemble_from_approximant(x + 0.01 * random_instance(n, k, 4), near)
+            else:
+                cert, _ = CONSTRUCTIONS[name].build(x)
+            for budget in (certs._EVALUATE_CHUNK_BYTES, 1):
+                with mock.patch.object(certs, "_EVALUATE_CHUNK_BYTES", budget):
+                    got, want = evaluate(cert), _dense_evaluate(cert)
+                assert got.blocks.tobytes() == want.blocks.tobytes(), (n, k, budget)
 
     def test_evaluate_peak_memory_is_a_few_values(self):
         # sub19 at (6, 12): widths (6, 36, ..., 36, 6) over M_72, so the whole
@@ -319,6 +380,31 @@ class TestPad:
 
 
 class TestAdd:
+    @given(seed=st.integers(0, 10**6), d=st.integers(1, 3), count=st.integers(3, 4),
+           zero_alpha=st.booleans(),
+           kinds=st.lists(st.sampled_from(["random", "zero", "unit"]), min_size=12, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_sum_of_several_has_the_bytes_of_nested_sums(self, seed, d, count, zero_alpha, kinds):
+        # zero and norm-1 diagonals take factor 1, the parts that copy and keep norms
+        rng = np.random.default_rng(seed)
+        n, k = (int(v) for v in rng.integers(1, 4, size=2))
+        certs_ = []
+        for j in range(count):
+            c = random_certificate(rng, n=n, k=k, d=d,
+                                   widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
+            alphas = (0 * c.alphas[0],) + c.alphas[1:] if zero_alpha and j == 1 else c.alphas
+            diags = tuple(_of_kind(D, kind) for D, kind in zip(c.diags, kinds[3 * j:]))
+            certs_.append(FactorizationCertificate(alphas, diags))
+        nested = add(certs_[0], certs_[1])
+        for c in certs_[2:]:
+            nested = add(nested, c)
+        assert_same_bytes(add(*certs_), nested)
+
+    def test_sum_of_several_must_share_depth_and_shape(self, rng):
+        c = random_certificate(rng, d=2)
+        with pytest.raises(ShapeMismatchError):
+            add(c, c, random_certificate(rng, d=1, widths=(3,)))
+
     def test_add_zero(self, rng):
         x = random_block(rng, 2, 2, 2)
         cu = universal_depth1(x)

@@ -15,6 +15,7 @@ from oplength import (
     FactorizationCertificate,
     IsometryFamily,
     ProjectionPartition,
+    RowDecomposition,
     ShapeMismatchError,
     UniformityError,
     conjugate,
@@ -39,6 +40,7 @@ from oplength import (
 )
 from oplength.blocks import block_diag
 from oplength.certs import rebalance_diags
+from oplength.constructions import _diagonal_family
 from oplength.instances import random_instance
 
 from conftest import assert_same_bytes, random_block, random_entries
@@ -165,8 +167,10 @@ class TestRelationsCheckedWhereNumbersMakeThem:
         assert validate_calls == {"family": 1, "partition": 0}
 
     def test_pinching_pipeline_checks_each_numerical_family(self, validate_calls):
-        pinching_pipeline(random_instance(3, 6, 2))
-        assert validate_calls == {"family": 3, "partition": 0}
+        # the pinch's diagonal-partition families are exact 0/1 data, built in closed form;
+        # the assembly's family comes from the split's spectral projections, and is checked
+        pinching_pipeline(random_instance(3, 6, 2), include_total_bound=True)
+        assert validate_calls == {"family": 1, "partition": 0}
 
 
 class TestMatrixUnitFamily:
@@ -189,6 +193,10 @@ class TestMatrixUnitFamily:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             matrix_unit_family(2, 3, 0, 1)
+
+    def test_zero_size_refused(self):
+        with pytest.raises(ShapeMismatchError, match=re.escape("matrix units need n >= 1, got n=0")):
+            matrix_unit_family(2, 0, 1, 1)
 
 
 def haar_rotated_partition(n, k, seed):
@@ -285,6 +293,31 @@ class TestProjectionIsometries:
         # Hermitian but not idempotent: the eigenvalue 1/2 is neither 0 nor 1
         with pytest.raises(ValueError, match=re.escape("input is not a projection")):
             projection_isometries(np.diag([1.0, 0.5, 0.0, 0.0]), 2)
+
+
+class TestDiagonalFamily:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_has_the_bytes_of_the_eigh_path(self, n):
+        for k in range(n, 8 * n + 1, n):
+            P = diagonal_partition(n, k).projections
+            for m in range(n):
+                got, want = _diagonal_family(n, k, m), family_from_projections(P[m], P[m], n)
+                for name in ("p", "q", "a", "b", "c", "d"):
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (k, m, name)
+                for stack in (got.a, got.d):  # the norm the certificate carries, unasked
+                    assert np.linalg.svd(stack, compute_uv=False).max() == 1.0, (k, m)
+
+    def test_certificate_carries_the_unit_norms_and_the_eigh_path_bytes(self, rng):
+        x = random_block(rng, 3, 3, 6)
+        P = diagonal_partition(3, 6).projections
+        got = factor_through_family(x, _diagonal_family(3, 6, 1))
+        want = factor_through_family(x, family_from_projections(P[1], P[1], 3))
+        assert [got.diags[i].__dict__.get("_norm") for i in (0, 2)] == [1.0, 1.0]
+        for D in want.diags:
+            D.norm()
+        got.diags[1].norm()
+        assert_same_bytes(got, want)
 
 
 class TestCornerEmbedding:
@@ -597,6 +630,28 @@ class TestPinch:
 
 
 class TestProjectionPartition:
+    def test_shared_partition_and_row_decomposition_are_read_only(self):
+        x = random_instance(3, 6, 1, "blockdiag", 0.1)
+        _, before = pinching_pipeline(x)
+        part = diagonal_partition(3, 6)
+        row = partition_row_decomposition(part)
+        assert diagonal_partition(3, 6) is part and partition_row_decomposition(part) is row
+        for a in (part.projections, row.alpha0, row.w, row.diag.entries):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] += 1
+        _, after = pinching_pipeline(x)
+        assert_same_bytes(after, before)
+
+    def test_partition_and_row_decomposition_copy_their_input(self):
+        P = np.array(diagonal_partition(2, 4).projections)
+        part = ProjectionPartition(P)
+        row = partition_row_decomposition(part)
+        alpha0, w = np.array(row.alpha0), np.array(row.w)
+        copy = RowDecomposition(alpha0, row.diag, w)
+        P[0], alpha0[0], w[0] = 0, 0, 0
+        assert part.projections[0, 0, 0] == 1
+        assert copy.alpha0.tobytes() == row.alpha0.tobytes() and copy.w.tobytes() == row.w.tobytes()
+
     def test_diagonal_partition_traces(self):
         part = diagonal_partition(4, 8)
         part.validate()

@@ -200,9 +200,13 @@ class TestConstructionsRegistry:
         want = pinch(x, diagonal_partition(n, k))
         assert target.blocks.tobytes() == want.blocks.tobytes()
 
-    @pytest.mark.parametrize("name", ["lemma5", "t13"])  # t13 through pinching_pipeline
-    def test_zero_size_is_refused_by_the_partition_rule(self, name):
-        with pytest.raises(ShapeMismatchError, match=r"needs n \| k, got n=0, k=4"):
+    @pytest.mark.parametrize("name, message", [
+        ("lemma5", r"needs n \| k, got n=0, k=4"),
+        ("t13", r"needs n \| k, got n=0, k=4"),  # through pinching_pipeline
+        ("sub18", r"matrix units need n >= 1, got n=0"),
+    ], ids=["lemma5", "t13", "sub18"])
+    def test_zero_size_is_refused_by_the_partition_rule(self, name, message):
+        with pytest.raises(ShapeMismatchError, match=message):
             CONSTRUCTIONS[name].build(BlockMatrix(np.zeros((0, 0, 4, 4))))
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
