@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -43,13 +43,18 @@ class ShapeMismatchError(ValueError):
     """Block shapes or orders do not chain."""
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a itself; ValueError where an entry is NaN or infinite (comparisons would let it through)."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite entries")
+    return a
+
+
 def _as_blocks(blocks) -> np.ndarray:
     b = np.array(blocks, dtype=np.complex128)
     if b.ndim != 4 or b.shape[0] != b.shape[1] or not 0 < b.shape[2] == b.shape[3]:
         raise ShapeMismatchError(f"expected (n, n, k, k) blocks, got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("non-finite entries")
-    return b
+    return _finite(b)
 
 
 @dataclass(frozen=True)
@@ -146,20 +151,29 @@ class DiagonalMatrix:
         return self.entries.shape[1]
 
     @classmethod
-    @lru_cache(maxsize=16)
     def unit(cls, size: int, k: int) -> "DiagonalMatrix":
-        """The identity diagonal, one shared read-only instance per (size, k)."""
+        """The identity diagonal of ``size`` entries in M_k."""
         return cls(np.broadcast_to(np.eye(k, dtype=np.complex128), (size, k, k)))
 
     def norm(self) -> float:
-        """The largest entry norm, from one batched SVD over all entries, kept on the instance."""
+        """The largest entry norm, kept on the instance.
+
+        Where every entry is 0/1 with at most one 1 in each row and column (a
+        partial isometry: the isometry families, identities, loaded 0/1 files)
+        it is 1.0, or 0.0 with no 1, read from the entries; else one batched
+        SVD over all entries gives it.
+        """
         return self._norm
 
     @cached_property
     def _norm(self) -> float:
+        e = self.entries
+        ones = e == 1
+        if (ones | (e == 0)).all() and max(ones.sum(axis=a).max(initial=0) for a in (1, 2)) <= 1:
+            return float(ones.any())  # the bits the SVD gives on every such stack tried
         # max over every singular value from +0 is the entrywise max norm bit for bit:
         # max is exact and a +0 start keeps a -0 singular value from deciding a tie
-        return float(np.linalg.svd(self.entries, compute_uv=False).max(initial=0.0))
+        return float(np.linalg.svd(e, compute_uv=False).max(initial=0.0))
 
     @cached_property
     def _block(self):
@@ -279,17 +293,14 @@ def scalar_norm(alpha: np.ndarray) -> float:
 
 def operator_norm(x) -> float:
     """Largest singular value of x (a BlockMatrix, finite by construction, or a checked array)."""
-    if isinstance(x, BlockMatrix):
-        d = x.dense()
-    elif not np.all(np.isfinite(d := np.asarray(x, dtype=np.complex128))):
-        raise ValueError("non-finite entries")
+    d = x.dense() if isinstance(x, BlockMatrix) else _finite(np.asarray(x, dtype=np.complex128))
     if d.size == 0:
         return 0.0
     return float(np.linalg.norm(d, 2))
 
 
 def _check_hermitian(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
+    a = _finite(np.asarray(a, dtype=np.complex128))
     scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
     if np.abs(a - a.conj().T).max(initial=0.0) > 1e-10 * scale:
         raise ValueError("input is not Hermitian within tolerance")

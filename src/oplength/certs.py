@@ -359,6 +359,8 @@ def direct_sum(certs) -> FactorizationCertificate:
     (taken from them when all are known).
     """
     certs = list(certs)
+    if not certs:
+        raise ValueError("direct_sum: empty family")
     d, k = certs[0].d, certs[0].k
     if any(c.d != d or c.k != k for c in certs):
         raise ShapeMismatchError("direct summands must share depth and block order")
@@ -434,11 +436,6 @@ class RowDecomposition:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @cached_property
-    def _diag_adjoint(self) -> DiagonalMatrix:
-        """diag's adjoint, made once: :func:`conjugate` puts it on the right."""
-        return self.diag.adjoint()
-
 
 def conjugate(row: RowDecomposition, inner: FactorizationCertificate) -> FactorizationCertificate:
     """Certificate of depth d+2 for L * evaluate(inner) * L^*, L the block row of ``row``.
@@ -454,5 +451,5 @@ def conjugate(row: RowDecomposition, inner: FactorizationCertificate) -> Factori
         + inner.alphas[1:-1]
         + (inner.alphas[-1] @ row.w.conj().T, row.alpha0.conj().T)
     )
-    diags = (row.diag,) + inner.diags + (row._diag_adjoint,)
+    diags = (row.diag,) + inner.diags + (row.diag.adjoint(),)
     return FactorizationCertificate(alphas, diags)

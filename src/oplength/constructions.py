@@ -8,7 +8,7 @@ values.  Only the diagonal factors carry the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +17,7 @@ from .blocks import (
     BlockMatrix,
     DiagonalMatrix,
     ShapeMismatchError,
+    _finite,
     _phase_normalize,
     block_diag,
     fourier_unitary,
@@ -79,8 +80,6 @@ class IsometryFamily:
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    # a and d are exact partial isometries, each stack of norm 1.0, the bits of its SVD
-    _isometric: bool = field(default=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -113,6 +112,8 @@ class ProjectionPartition:
 
     def __post_init__(self):
         P = np.array(self.projections, dtype=np.complex128)
+        if P.ndim != 3 or not P.shape[0] > 0 < P.shape[1] == P.shape[2]:
+            raise ShapeMismatchError(f"expected (n, k, k) projections, got {P.shape}")
         P.setflags(write=False)
         object.__setattr__(self, "projections", P)
 
@@ -145,7 +146,7 @@ class ProjectionPartition:
 def diagonal_partition(n: int, k: int) -> ProjectionPartition:
     """The n diagonal-block projections of M_k (n >= 1 dividing k); 0/1 data, exact relations.
 
-    One shared read-only partition per (n, k), with its row decomposition.
+    One shared read-only partition per (n, k).
     """
     if n < 1 or k % n:
         raise ShapeMismatchError(f"the diagonal partition needs n | k, got n={n}, k={k}")
@@ -188,9 +189,8 @@ def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationC
     t = np.einsum("iab,ijbc,jcd->ijad", fam.b, x.blocks, fam.c, optimize=compress)
     D2 = np.einsum("ik,kj,ijad->kad", eps, eps, t, optimize=average)
     eye = np.eye(n, dtype=np.complex128)
-    a, d = (DiagonalMatrix._adopt(np.array(s, dtype=np.complex128), 1.0) if fam._isometric
-            else DiagonalMatrix(s) for s in (fam.a, fam.d))
-    return FactorizationCertificate((eye, W, W, eye), (a, DiagonalMatrix(D2), d))
+    diags = (DiagonalMatrix(fam.a), DiagonalMatrix(D2), DiagonalMatrix(fam.d))
+    return FactorizationCertificate((eye, W, W, eye), diags)
 
 
 @lru_cache(maxsize=16)
@@ -232,7 +232,7 @@ def projection_isometries(p: np.ndarray, n: int) -> np.ndarray:
     mutually orthogonal copies inside the same M_k, so n * rank(p) must
     not exceed k.  Deterministic for a fixed p.
     """
-    p = np.asarray(p, dtype=np.complex128)
+    p = _finite(np.asarray(p, dtype=np.complex128))
     k = p.shape[0]
     if (_product_excess(p[None], p[None], p)[0, 0] > _RELATION_TOL
             or np.abs(p - p.conj().T).max() > _RELATION_TOL):
@@ -274,7 +274,7 @@ def _diagonal_family(n: int, k: int, m: int) -> IsometryFamily:
     v[np.arange(n)[:, None], order.reshape(n, r), R] = 1
     w = v.copy()
     return IsometryFamily(p=p, q=p, a=v.conj().transpose(0, 2, 1), b=v,
-                          c=w.conj().transpose(0, 2, 1), d=w, _isometric=True)
+                          c=w.conj().transpose(0, 2, 1), d=w)
 
 
 def lift(x: BlockMatrix, e: np.ndarray) -> BlockMatrix:
@@ -296,33 +296,22 @@ def corner_embedding_certificate(x: BlockMatrix, r: int, s: int) -> Factorizatio
     return factor_through_family(lift(x, _unit(x.n, s - 1, r - 1)), fam)
 
 
-# A larger row decomposition is made again in each call: kept on a shared partition, the 6 MB
-# of sub19's at (6, 12) raised a CLI run's peak memory by 8 MB, and the 2 MB of t13's at (8, 32)
-# a pinch run's by 1.2 MB, to save about 6 ms a call.
-_KEPT_ROW_BYTES = 512 << 10
-
-
 def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     """The block row with entries delta_ij p_m, written as scalar * diagonal * scalar.
 
     The leading scalar is n**-0.5 [I ... I], the diagonal entries are
     Fourier-weighted sums of the partition projections (norm <= 1), and
     the trailing scalar is the inflated Fourier unitary; the product
-    reproduces the row exactly and bounds its depth-1 cost by 1.  It is kept
-    on the partition, read-only like it, while its diagonal has at most
-    ``_KEPT_ROW_BYTES``.
+    reproduces the row exactly and bounds its depth-1 cost by 1.  Made in
+    each call, so a shared partition holds its projections only.
     """
-    if (row := part.__dict__.get("_row")) is None:
-        n = part.n
-        W = fourier_unitary(n)
-        eyen = np.eye(n, dtype=np.complex128)
-        alpha0 = np.hstack([eyen] * n) / np.sqrt(n)
-        dvals = np.einsum("im,iab->mab", np.sqrt(n) * W.conj(), part.projections)
-        entries = np.repeat(dvals, n, axis=0)  # entry at (m, j) is dvals[m]
-        row = RowDecomposition(alpha0, DiagonalMatrix._adopt(entries), np.kron(W, eyen))
-        if entries.nbytes <= _KEPT_ROW_BYTES:
-            part.__dict__["_row"] = row
-    return row
+    n = part.n
+    W = fourier_unitary(n)
+    eyen = np.eye(n, dtype=np.complex128)
+    alpha0 = np.hstack([eyen] * n) / np.sqrt(n)
+    dvals = np.einsum("im,iab->mab", np.sqrt(n) * W.conj(), part.projections)
+    entries = np.repeat(dvals, n, axis=0)  # entry at (m, j) is dvals[m]
+    return RowDecomposition(alpha0, DiagonalMatrix._adopt(entries), np.kron(W, eyen))
 
 
 def pinch_certificate(inner, part: ProjectionPartition):

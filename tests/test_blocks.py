@@ -16,13 +16,17 @@ from oplength import (
     direct_sum,
     fourier_unitary,
     hermitian_spectral,
+    matrix_unit_family,
     normalized_trace,
     operator_norm,
+    projection_isometries,
+    psd_sqrt,
     spectral_projection,
 )
 
 from oplength import blocks
 from oplength.blocks import block_diag, scalar_norm
+from oplength.constructions import _diagonal_family
 
 from conftest import random_block, random_entries, random_hermitian
 
@@ -273,6 +277,44 @@ def _repeated_diagonal(case, k, rng):
     return DiagonalMatrix(np.concatenate([plus, minus, plus]))
 
 
+def _zero_one_stacks(case, rng):
+    """(N, k, k) stacks of 0/1 entries with at most one 1 in each row and column."""
+    if case == "diagonal_family":
+        return [s for n, k in ((1, 3), (2, 4), (3, 6), (4, 16), (8, 32)) for m in range(n)
+                for fam in [_diagonal_family(n, k, m)] for s in (fam.a, fam.b, fam.c, fam.d)]
+    if case == "matrix_unit_family":
+        return [s for base, n in ((1, 1), (2, 3), (3, 4)) for r in range(1, n + 1)
+                for c in range(1, n + 1) for fam in [matrix_unit_family(base, n, r, c)]
+                for s in (fam.a, fam.b, fam.c, fam.d)]
+    if case == "unit":
+        return [DiagonalMatrix.unit(size, k).entries for size, k in ((1, 1), (3, 2), (5, 16))]
+    if case == "zero":
+        return [np.zeros((4, 3, 3), dtype=complex), np.zeros((0, 2, 2), dtype=complex)]
+    if case == "signed_zero":
+        e = np.array(_diagonal_family(2, 4, 0).a)  # conjugated: 1 - 0j and -0 imaginary parts
+        f = np.where(e == 0, complex(-0.0, -0.0), e)
+        return [e, f, np.full((2, 3, 3), complex(-0.0, 0.0))]
+    stacks = []  # "permutation": random permutation submatrices, k <= 64
+    for k in (1, 2, 3, 5, 8, 16, 64):
+        for _ in range(20):
+            e = np.zeros((int(rng.integers(1, 5)), k, k), dtype=complex)
+            for entry in e:
+                r = int(rng.integers(0, k + 1))
+                entry[rng.permutation(k)[:r], rng.permutation(k)[:r]] = 1
+            stacks.append(e)
+    return stacks
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("fn", [hermitian_spectral, lambda a: spectral_projection(a, 0.5),
+                                psd_sqrt, lambda a: projection_isometries(a, 1)],
+                         ids=["hermitian_spectral", "spectral_projection", "psd_sqrt",
+                              "projection_isometries"])
+def test_non_finite_entries_refused(fn, bad):
+    with pytest.raises(ValueError, match="non-finite entries"):
+        fn(np.diag([bad, 1.0]))
+
+
 class TestScalarNorm:
     def test_memo_returns_the_svd_bits_stays_bounded_and_keeps_no_array(self, rng, monkeypatch):
         a = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
@@ -295,9 +337,9 @@ class TestScalarNorm:
         scalar_norm(a * 2)  # the least recently used went first
         assert calls == [1]
 
-    def test_unit_diagonal_is_shared_per_shape(self):
+    def test_unit_diagonal_is_a_read_only_identity(self):
         D = DiagonalMatrix.unit(3, 2)
-        assert DiagonalMatrix.unit(3, 2) is D and DiagonalMatrix.unit(2, 3) is not D
+        assert D.entries.tobytes() == np.stack([np.eye(2, dtype=complex)] * 3).tobytes()
         assert not D.entries.flags.writeable
 
 
@@ -308,6 +350,26 @@ class TestDiagonalNorm:
         D = _repeated_diagonal(case, k, rng)
         expected = np.linalg.norm(D.entries, 2, axis=(1, 2)).max()
         assert np.float64(D.norm()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", ["diagonal_family", "matrix_unit_family", "unit", "zero",
+                                      "signed_zero", "permutation"])
+    def test_zero_one_partial_isometry_norm_has_the_svd_bytes_with_no_svd(self, case, rng,
+                                                                         monkeypatch):
+        stacks = _zero_one_stacks(case, rng)
+        want = [np.float64(np.linalg.svd(e, compute_uv=False).max(initial=0.0)).tobytes()
+                for e in stacks]
+        monkeypatch.setattr(np.linalg, "svd", None)  # the rule reads the entries only
+        assert [np.float64(DiagonalMatrix(e).norm()).tobytes() for e in stacks] == want
+
+    @pytest.mark.parametrize("entry, want", [([[1, 1], [0, 0]], np.sqrt(2)),
+                                             ([[2, 0], [0, 1]], 2.0)], ids=["two-ones", "two"])
+    def test_other_entries_take_the_svd(self, entry, want, monkeypatch):
+        e = np.stack([np.eye(2), entry]).astype(complex)
+        expected = np.linalg.svd(e, compute_uv=False).max(initial=0.0)
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        assert np.float64(DiagonalMatrix(e).norm()).tobytes() == expected.tobytes()
+        assert calls == [1] and expected == pytest.approx(want)
 
     def test_one_batched_svd_over_all_entries_and_none_on_repeat(self, rng, monkeypatch):
         svd = np.linalg.svd

@@ -483,6 +483,10 @@ class TestAdd:
         with pytest.raises(ShapeMismatchError, match="share depth and block order"):
             direct_sum([random_certificate(rng, d=1, k=2), random_certificate(rng, d=d, k=k)])
 
+    def test_direct_sum_of_nothing_refused(self):
+        with pytest.raises(ValueError, match="empty family"):
+            direct_sum([])
+
 
 def _identity_row(n, k):
     eye = np.eye(n, dtype=complex)

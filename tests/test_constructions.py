@@ -305,7 +305,7 @@ class TestDiagonalFamily:
                 for name in ("p", "q", "a", "b", "c", "d"):
                     g, w = getattr(got, name), getattr(want, name)
                     assert g.shape == w.shape and g.tobytes() == w.tobytes(), (k, m, name)
-                for stack in (got.a, got.d):  # the norm the certificate carries, unasked
+                for stack in (got.a, got.d):  # the SVD gives the 1.0 the 0/1 rule reads
                     assert np.linalg.svd(stack, compute_uv=False).max() == 1.0, (k, m)
 
     def test_certificate_carries_the_unit_norms_and_the_eigh_path_bytes(self, rng):
@@ -313,7 +313,7 @@ class TestDiagonalFamily:
         P = diagonal_partition(3, 6).projections
         got = factor_through_family(x, _diagonal_family(3, 6, 1))
         want = factor_through_family(x, family_from_projections(P[1], P[1], 3))
-        assert [got.diags[i].__dict__.get("_norm") for i in (0, 2)] == [1.0, 1.0]
+        assert [got.diags[i].norm() for i in (0, 2)] == [1.0, 1.0]
         for D in want.diags:
             D.norm()
         got.diags[1].norm()
@@ -635,7 +635,7 @@ class TestProjectionPartition:
         _, before = pinching_pipeline(x)
         part = diagonal_partition(3, 6)
         row = partition_row_decomposition(part)
-        assert diagonal_partition(3, 6) is part and partition_row_decomposition(part) is row
+        assert diagonal_partition(3, 6) is part
         for a in (part.projections, row.alpha0, row.w, row.diag.entries):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] += 1
@@ -651,6 +651,13 @@ class TestProjectionPartition:
         P[0], alpha0[0], w[0] = 0, 0, 0
         assert part.projections[0, 0, 0] == 1
         assert copy.alpha0.tobytes() == row.alpha0.tobytes() and copy.w.tobytes() == row.w.tobytes()
+
+    @pytest.mark.parametrize("P", [np.eye(2), np.ones(3), np.zeros((0, 2, 2)),
+                                   np.zeros((2, 0, 0)), np.zeros((2, 2, 3))],
+                             ids=["matrix", "vector", "no-projections", "order-0", "not-square"])
+    def test_only_nonempty_square_stacks(self, P):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"got {P.shape}")):
+            ProjectionPartition(P)
 
     def test_diagonal_partition_traces(self):
         part = diagonal_partition(4, 8)
