@@ -224,38 +224,27 @@ class DiagonalMatrix:
     def _sums(cls, rows, sizes, k: int, norms=None) -> tuple:
         """Diagonal i of the result holds part i of each of ``rows``, one row after another.
 
-        A row is a sequence of ``(diagonal, factor, ...)`` parts, and
-        ``sizes[i]`` is the sum of the sizes of the rows' i-th parts.  Each
-        part's entries times each factor in turn, the bytes of chained
-        ``scaled`` calls (a factor of 1 is skipped, and a part with no other
-        copies), are written straight into its slice of one new (sizes[i], k, k)
-        array, which the result adopts.  Rows are taken one at a time and let
-        go once written, so a generator's rows need not be live together.
-        Diagonal i keeps ``norms[i]`` when given, else the max of its parts'
-        norms (exact) when every part is unscaled with a known norm.
+        A row is a sequence of ``(diagonal, factor)`` parts, and ``sizes[i]``
+        is the sum of the sizes of the rows' i-th parts.  Each part's
+        ``entries * factor``, the bytes of ``scaled``, is written straight
+        into its slice of one new (sizes[i], k, k) array (a factor of 1
+        copies), which the result adopts.  Rows are taken one at a time and
+        let go once written, so a generator's rows need not be live together.
+        Diagonal i keeps ``norms[i]`` where given and not None; any other
+        norm is found from the summed entries when asked for.
         """
         outs = [np.empty((N, k, k), dtype=np.complex128) for N in sizes]
         at = [0] * len(sizes)
-        known = [[] for _ in sizes]  # the parts' norms while all are unscaled and known
         for row in rows:
-            for i, (D, *factors) in enumerate(row):
+            for i, (D, c) in enumerate(row):
                 part = outs[i][at[i]:at[i] + D.size]
-                factors = [c for c in factors if c != 1]
-                if factors:
-                    np.multiply(D.entries, factors[0], out=part)
-                    for c in factors[1:]:
-                        part *= c
-                else:
+                if c == 1:
                     part[...] = D.entries
-                at[i] += D.size
-                if known[i] is not None and not factors and "_norm" in D.__dict__:
-                    known[i].append(D._norm)
                 else:
-                    known[i] = None
+                    np.multiply(D.entries, c, out=part)
+                at[i] += D.size
             del row, D  # not held while the next row is made
-        if norms is None:
-            norms = [max(nrm) if nrm else None for nrm in known]
-        return tuple(cls._adopt(out, nrm) for out, nrm in zip(outs, norms))
+        return tuple(cls._adopt(out, nrm) for out, nrm in zip(outs, norms or [None] * len(outs)))
 
 
 def block_diag(mats) -> np.ndarray:
@@ -309,13 +298,11 @@ def _check_hermitian(a: np.ndarray) -> np.ndarray:
 
 def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     """Make the first nonzero component of each column real positive."""
+    cols, rows = np.nonzero(np.abs(vecs.T) > 1e-12)  # each column's rows in order
+    cols, at = np.unique(cols, return_index=True)
+    first = vecs[rows[at], cols]
     out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            ph = col[nz[0]] / abs(col[nz[0]])
-            out[:, j] = col / ph
+    out[:, cols] /= first / np.hypot(first.real, first.imag)  # abs's bits on a scalar, not np.abs's
     return out
 
 

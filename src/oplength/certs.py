@@ -356,7 +356,7 @@ def direct_sum(certs) -> FactorizationCertificate:
 
     Scalar factors are placed block-diagonally and diagonal factors
     concatenated, so each factor norm is the largest among the summands
-    (taken from them when all are known).
+    (a summed diagonal finds its own from its entries, as any diagonal does).
     """
     certs = list(certs)
     if not certs:
@@ -370,14 +370,8 @@ def direct_sum(certs) -> FactorizationCertificate:
     return FactorizationCertificate(alphas, diags)
 
 
-def _part_norm(part) -> float:
-    """The norm of a ``(diagonal, factor, ...)`` part of ``DiagonalMatrix._sums``, from its bytes."""
-    D, *factors = part
-    return DiagonalMatrix._sums([[part]], [D.size], D.k)[0].norm() if set(factors) - {1} else D.norm()
-
-
-def add(cu: FactorizationCertificate, cv: FactorizationCertificate, *more) -> FactorizationCertificate:
-    """Certificate for evaluate(cu) + evaluate(cv) (+ ... for ``more``) at the same depth.
+def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> FactorizationCertificate:
+    """Certificate for evaluate(cu) + evaluate(cv) at the same depth.
 
     Both inputs are rebalanced (:func:`rebalance`: contractions inside,
     the cost split evenly between the two outer scalars); the leading
@@ -388,30 +382,22 @@ def add(cu: FactorizationCertificate, cv: FactorizationCertificate, *more) -> Fa
     plain sum by Cauchy-Schwarz).  The rebalanced diagonals are never
     built: each summed diagonal is written once from the inputs' entries
     times their unit factors, with the bytes of the rebalance-then-sum.
-
-    ``add(u, v, w)`` has the bytes of ``add(add(u, v), w)`` but never builds
-    the diagonals of ``add(u, v)``: their norms come part by part (bit for bit,
-    as an SVD's max over a stack is the max over its parts).
+    A summed diagonal keeps the larger input norm where neither input is
+    scaled (exact: an SVD's max over a stack is the max over its parts).
     """
-    others = (cv, *more)
-    if any(c.d != cu.d or c.n != cu.n or c.k != cu.k for c in others):
+    if cu.d != cv.d or cu.n != cv.n or cu.k != cv.k:
         raise ShapeMismatchError("certificates must share depth, outer shape and block order")
-    alphas, norms, rows = cu.alphas, [D.norm() for D in cu.diags], [[(D,) for D in cu.diags]]
-    for j, c in enumerate(others):
-        if j:  # the running sum's norms its unscaled parts left unknown, part by part
-            norms = [max(_part_norm(row[i]) for row in rows) if nrm is None else nrm
-                     for i, nrm in enumerate(norms)]
-        nv = [D.norm() for D in c.diags]
-        (au, fu), (av, fv) = _rebalanced(alphas, norms), _rebalanced(c.alphas, nv)
-        alphas = (
-            (np.hstack([au[0], av[0]]),)
-            + tuple(block_diag(pair) for pair in zip(au[1:-1], av[1:-1]))
-            + (np.vstack([au[-1], av[-1]]),)
-        )
-        rows = [[p + (f,) for p, f in zip(row, fu)] for row in rows] + [list(zip(c.diags, fv))]
-        norms = [max(nu, n) if f == g == 1 else None for nu, n, f, g in zip(norms, nv, fu, fv)]
-    sizes = [sum(row[i][0].size for row in rows) for i in range(cu.d)]
-    return FactorizationCertificate(alphas, DiagonalMatrix._sums(rows, sizes, cu.k, norms))
+    nu, nv = [D.norm() for D in cu.diags], [D.norm() for D in cv.diags]
+    (au, fu), (av, fv) = _rebalanced(cu.alphas, nu), _rebalanced(cv.alphas, nv)
+    alphas = (
+        (np.hstack([au[0], av[0]]),)
+        + tuple(block_diag(pair) for pair in zip(au[1:-1], av[1:-1]))
+        + (np.vstack([au[-1], av[-1]]),)
+    )
+    sizes = [Du.size + Dv.size for Du, Dv in zip(cu.diags, cv.diags)]
+    norms = [max(a, b) if f == g == 1 else None for a, b, f, g in zip(nu, nv, fu, fv)]
+    diags = DiagonalMatrix._sums([zip(cu.diags, fu), zip(cv.diags, fv)], sizes, cu.k, norms)
+    return FactorizationCertificate(alphas, diags)
 
 
 @dataclass(frozen=True)

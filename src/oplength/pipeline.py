@@ -108,8 +108,10 @@ def assemble_from_approximant(z: BlockMatrix, near_cert: FactorizationCertificat
         comp_cert = pad_to(factor_through_family(x, fam), depth)
         rem_cert = pad_to(universal_depth1(split.remainder), depth)
         del x, split, fam  # not held through the sums, nor the pieces through the final verify
-        total = add(pad_to(near_cert, depth), comp_cert, rem_cert)
-        del comp_cert, rem_cert
+        total = add(pad_to(near_cert, depth), comp_cert)
+        del comp_cert
+        total = add(total, rem_cert)
+        del rem_cert
     bound = K + 2 + 3 * eps_used * n ** 2.5
     return _report(total, z, eps_used, bound, 1e-6, {"K": K, "defect_l2": mass}), total
 

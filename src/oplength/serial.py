@@ -110,24 +110,27 @@ def _document(text: str, scalars, lists) -> dict:
     the lists are only scanned when the text has one (a string search: about
     1 ms at 18 MB; a ``null`` claimed cost does not trigger it).
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object")
-    for name in (*scalars, *lists):
-        if name not in doc:
-            raise ValueError(f"{name}: missing")
-        if name in lists and not isinstance(doc[name], list):
-            raise ValueError(f"{name}: expected a list")
-    ints = [(name, doc[name]) for name in scalars]
-    if "widths" in lists:
-        ints += [(f"widths[{i}]", v) for i, v in enumerate(doc["widths"])]
-    for name, v in ints:
-        if type(v) is not int:
-            raise ValueError(f"{name}: expected an integer, got {json.dumps(v)}")
-    if "true" in text or "false" in text:
-        for name in lists:
-            if _holds_bool(doc[name]):
-                raise ValueError(f"{name}: expected numbers, got a JSON boolean")
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        for name in (*scalars, *lists):
+            if name not in doc:
+                raise ValueError(f"{name}: missing")
+            if name in lists and not isinstance(doc[name], list):
+                raise ValueError(f"{name}: expected a list")
+        ints = [(name, doc[name]) for name in scalars]
+        if "widths" in lists:
+            ints += [(f"widths[{i}]", v) for i, v in enumerate(doc["widths"])]
+        for name, v in ints:
+            if type(v) is not int:
+                raise ValueError(f"{name}: expected an integer, got {json.dumps(v)}")
+        if "true" in text or "false" in text:
+            for name in lists:
+                if _holds_bool(doc[name]):
+                    raise ValueError(f"{name}: expected numbers, got a JSON boolean")
+    except RecursionError:  # json.loads and _holds_bool recurse once per level of nesting
+        raise ValueError("JSON nested too deeply") from None
     return doc
 
 

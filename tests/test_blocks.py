@@ -387,24 +387,22 @@ class TestDiagonalNorm:
         assert batches == [9]
 
     @pytest.mark.parametrize("k", [3, 16])
-    @pytest.mark.parametrize("known", [True, False])
-    def test_direct_sum_takes_its_norms_from_the_parts(self, k, known, rng, monkeypatch):
-        parts = [_repeated_diagonal(case, k, rng) for case in ("repeat", "unit", "adjoint",
-                                                                "signed_zero")]
-        parts.append(DiagonalMatrix(np.full((2, k, k), -0.0, dtype=complex)))
-        if known:
-            for D in parts:
-                D.norm()
-        certs = [FactorizationCertificate((np.ones((1, D.size)), np.ones((D.size, 1))), (D,))
-                 for D in parts]
+    def test_direct_sum_takes_its_norms_from_the_parts(self, k, rng, monkeypatch):
+        # the sum finds its norm from its entries: one SVD batch over data, none over 0/1 entries
+        data = [_repeated_diagonal(case, k, rng) for case in ("repeat", "adjoint", "signed_zero")]
+        data.append(DiagonalMatrix(np.full((2, k, k), -0.0, dtype=complex)))
+        zero_one = [DiagonalMatrix.unit(5, k), DiagonalMatrix(np.zeros((2, k, k)))]
         svd = np.linalg.svd
         calls = []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
-        summed = direct_sum(certs).diags[0]
-        got = summed.norm()
-        assert len(calls) == (0 if known else 1)
-        expected = DiagonalMatrix(summed.entries).norm()
-        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        for parts, svds in ((data + zero_one, 1), (zero_one, 0)):
+            certs = [FactorizationCertificate((np.ones((1, D.size)), np.ones((D.size, 1))), (D,))
+                     for D in parts]
+            calls.clear()
+            got = direct_sum(certs).diags[0].norm()
+            assert len(calls) == svds
+            expected = max(D.norm() for D in parts)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_public_constructor_copies_and_derived_entries_are_read_only(self, rng):
         a = random_entries(rng, 3, 2)

@@ -380,31 +380,6 @@ class TestPad:
 
 
 class TestAdd:
-    @given(seed=st.integers(0, 10**6), d=st.integers(1, 3), count=st.integers(3, 4),
-           zero_alpha=st.booleans(),
-           kinds=st.lists(st.sampled_from(["random", "zero", "unit"]), min_size=12, max_size=12))
-    @settings(max_examples=80, deadline=None)
-    def test_sum_of_several_has_the_bytes_of_nested_sums(self, seed, d, count, zero_alpha, kinds):
-        # zero and norm-1 diagonals take factor 1, the parts that copy and keep norms
-        rng = np.random.default_rng(seed)
-        n, k = (int(v) for v in rng.integers(1, 4, size=2))
-        certs_ = []
-        for j in range(count):
-            c = random_certificate(rng, n=n, k=k, d=d,
-                                   widths=tuple(int(w) for w in rng.integers(1, 5, size=d)))
-            alphas = (0 * c.alphas[0],) + c.alphas[1:] if zero_alpha and j == 1 else c.alphas
-            diags = tuple(_of_kind(D, kind) for D, kind in zip(c.diags, kinds[3 * j:]))
-            certs_.append(FactorizationCertificate(alphas, diags))
-        nested = add(certs_[0], certs_[1])
-        for c in certs_[2:]:
-            nested = add(nested, c)
-        assert_same_bytes(add(*certs_), nested)
-
-    def test_sum_of_several_must_share_depth_and_shape(self, rng):
-        c = random_certificate(rng, d=2)
-        with pytest.raises(ShapeMismatchError):
-            add(c, c, random_certificate(rng, d=1, widths=(3,)))
-
     def test_add_zero(self, rng):
         x = random_block(rng, 2, 2, 2)
         cu = universal_depth1(x)

@@ -379,9 +379,10 @@ class TestCli:
         ("verify", "inst", lambda doc: {**doc, "blocks": {}}, "blocks: expected a list"),
         ("factor", "inst", lambda doc: {**doc, "blocks": [[[[[1.0, 0.0]]]], [1.0]]}, "blocks: "),
         ("factor", "inst", lambda doc: [doc], "expected a JSON object"),
+        ("verify", "cert", lambda doc: "[" * 3000 + "]" * 3000, "error: JSON nested too deeply\n"),
     ], ids=["alphas-number", "widths-null", "alpha-object", "alpha-vector", "alpha-3d",
             "diag-non-square", "cert-list",
-            "blocks-object", "blocks-ragged", "instance-list"])
+            "blocks-object", "blocks-ragged", "instance-list", "nested-3000-deep"])
     def test_malformed_file_is_usage_error_naming_the_field(self, tmp_path, capsys, command,
                                                             target, malform, named):
         inst = self.run_gen(tmp_path)
@@ -389,12 +390,14 @@ class TestCli:
         main(["factor", "--instance", str(inst), "--construction", "length1",
               "--out", str(cert)])
         path = cert if target == "cert" else inst
-        path.write_text(json.dumps(malform(json.loads(path.read_text()))))
+        text = malform(json.loads(path.read_text()))
+        path.write_text(text if isinstance(text, str) else json.dumps(text))
         capsys.readouterr()
         argv = {"verify": ["verify", "--instance", str(inst), "--certificate", str(cert)],
                 "factor": ["factor", "--instance", str(inst), "--construction", "length1"]}
         assert main(argv[command]) == 2
-        assert named in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert named in out.err and out.out == ""
 
     @pytest.mark.parametrize("command, target, name", [
         *[(c, "inst", f) for c in ("factor", "verify") for f in ("n", "k", "blocks")],

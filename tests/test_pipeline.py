@@ -1,5 +1,6 @@
 """Assembled pipelines, uniformity checks, and direct-sum certificates."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -72,6 +73,22 @@ class TestAssembleFromApproximant:
         assert report.extra["defect_l2"] == pytest.approx(0.05)
         assert report.epsilon == 1.01 * report.extra["defect_l2"]
         assert report.bound == report.extra["K"] + 2 + 3 * report.epsilon * 2 ** 2.5
+
+    def test_peak_memory_is_about_two_sums(self):
+        # the second add is written while the first sum is held: 2.24x the summed diagonals'
+        # bytes at (8,32); a third diagonal sum held alongside them would pass 2.5x
+        x = random_instance(8, 32, 1, "blockdiag", 0.05)
+        report, near = pinching_pipeline(x)
+        s = 1.0 / report.extra["norm"]
+        z, near = x * s, near.scaled(s)
+        tracemalloc.start()
+        try:
+            _, total = assemble_from_approximant(z, near)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(D.entries.nbytes for D in total.diags)
+        assert peak < 2.5 * size, f"peak {peak} bytes for {size} bytes of summed diagonals"
 
 
 class TestPinchingPipeline:
