@@ -315,6 +315,30 @@ def test_non_finite_entries_refused(fn, bad):
         fn(np.diag([bad, 1.0]))
 
 
+def _phase_normalize_by_columns(vecs):
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            out[:, j] = col / (col[nz[0]] / abs(col[nz[0]]))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (8, 5), (16, 16), (0, 3), (3, 0)])
+def test_phase_normalize_has_the_bytes_of_a_column_loop(shape, rng):
+    # zero, tiny and real columns, and columns whose first entry is below the cut
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if shape[1] >= 3 and shape[0] >= 2:
+        v[:, 0] = 0
+        v[0, 1], v[:, 2] = 1e-13, 1e-13j
+        v[-1, 2] = -2.5
+    if shape[1] >= 4:
+        v[:, 3] = v[:, 3].real
+    got, want = blocks._phase_normalize(v), _phase_normalize_by_columns(v)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestScalarNorm:
     def test_memo_returns_the_svd_bits_stays_bounded_and_keeps_no_array(self, rng, monkeypatch):
         a = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
@@ -387,11 +411,16 @@ class TestDiagonalNorm:
         assert batches == [9]
 
     @pytest.mark.parametrize("k", [3, 16])
-    def test_direct_sum_takes_its_norms_from_the_parts(self, k, rng, monkeypatch):
-        # the sum finds its norm from its entries: one SVD batch over data, none over 0/1 entries
+    @pytest.mark.parametrize("known", [True, False])
+    def test_direct_sum_takes_its_norms_from_the_parts(self, k, known, rng, monkeypatch):
+        # the sum finds its norm from its entries, whether or not the parts know theirs:
+        # one SVD batch over data, none over 0/1 entries
         data = [_repeated_diagonal(case, k, rng) for case in ("repeat", "adjoint", "signed_zero")]
         data.append(DiagonalMatrix(np.full((2, k, k), -0.0, dtype=complex)))
         zero_one = [DiagonalMatrix.unit(5, k), DiagonalMatrix(np.zeros((2, k, k)))]
+        if known:
+            for D in data + zero_one:
+                D.norm()
         svd = np.linalg.svd
         calls = []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
