@@ -359,8 +359,8 @@ def block_l2(x: BlockMatrix) -> float:
 
 def fourier_unitary(n: int) -> np.ndarray:
     """The n x n discrete Fourier unitary; every entry has modulus n**-0.5."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     idx = np.arange(n)
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -112,11 +111,6 @@ class FactorizationCertificate:
         diags = (self.diags[0].scaled(c),) + self.diags[1:]
         return FactorizationCertificate(self.alphas, diags)
 
-    @cached_property
-    def _runs(self) -> tuple:
-        """:func:`_scalar_runs` of each scalar factor but the last, for :func:`evaluate`."""
-        return tuple(_scalar_runs(a) for a in self.alphas[:-1])
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -198,6 +192,7 @@ def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
     """
     n, k, widths = cert.n, cert.k, cert.widths
     c = max(1, _EVALUATE_CHUNK_BYTES // (max(widths) * k * k * 16))
+    runs = [_scalar_runs(a) for a in cert.alphas[:-1]]
     out = np.empty((n, n, k, k), dtype=np.complex128)
     for j in range(0, n, c):
         D = cert.diags[-1].entries
@@ -207,7 +202,7 @@ def evaluate(cert: FactorizationCertificate) -> BlockMatrix:
             M = M.reshape(widths[i], k, -1)
             if i < cert.d:
                 M = cert.diags[i - 1]._times(M)
-            M = _times_scalar(cert.alphas[i - 1], cert._runs[i - 1], M)
+            M = _times_scalar(cert.alphas[i - 1], runs[i - 1], M)
         out[:, j:j + c] = M.reshape(n, k, -1, k).transpose(0, 2, 1, 3)
     return BlockMatrix(out)
 

@@ -26,7 +26,7 @@ from . import serial
 from .blocks import ShapeMismatchError, operator_norm  # noqa: F401
 from .certs import verify
 from .instances import DISTRIBUTIONS, random_instance
-from .pipeline import CONSTRUCTIONS, UniformityError, uniformity_check
+from .pipeline import CONSTRUCTIONS, UniformityError, _construction, uniformity_check
 from .simhom import similarity_cb_check
 
 USAGE_ERROR = 2
@@ -118,10 +118,8 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     names = _items("--constructions", args.constructions, str)
-    known = ", ".join(sorted(CONSTRUCTIONS))
     for name in names:
-        if name not in CONSTRUCTIONS:
-            raise ValueError(f"--constructions: unknown {name!r}; known: {known}")
+        _construction(name, "--constructions")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["construction", "n", "k", "trial", "cost", "norm", "ratio"]

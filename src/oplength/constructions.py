@@ -9,7 +9,6 @@ values.  Only the diagonal factors carry the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -142,12 +141,8 @@ class ProjectionPartition:
             raise ValueError("partition sum exceeds the identity")
 
 
-@lru_cache(maxsize=8)
 def diagonal_partition(n: int, k: int) -> ProjectionPartition:
-    """The n diagonal-block projections of M_k (n >= 1 dividing k); 0/1 data, exact relations.
-
-    One shared read-only partition per (n, k).
-    """
+    """The n diagonal-block projections of M_k (n >= 1 dividing k); 0/1 data, exact relations."""
     if n < 1 or k % n:
         raise ShapeMismatchError(f"the diagonal partition needs n | k, got n={n}, k={k}")
     eye = np.eye(n, dtype=np.complex128)
@@ -185,21 +180,17 @@ def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationC
     n, k = x.n, x.k
     W = fourier_unitary(n)
     eps = np.sqrt(n) * W.conj()  # symmetric: eps[i, k] and eps[k, j]
-    compress, average = _einsum_paths(n, k)
-    t = np.einsum("iab,ijbc,jcd->ijad", fam.b, x.blocks, fam.c, optimize=compress)
-    D2 = np.einsum("ik,kj,ijad->kad", eps, eps, t, optimize=average)
+    t = np.einsum("iab,ijbc,jcd->ijad", fam.b, x.blocks, fam.c, optimize=_COMPRESS_PATH)
+    D2 = np.einsum("ik,kj,ijad->kad", eps, eps, t, optimize=_AVERAGE_PATH)
     eye = np.eye(n, dtype=np.complex128)
     diags = (DiagonalMatrix(fam.a), DiagonalMatrix(D2), DiagonalMatrix(fam.d))
     return FactorizationCertificate((eye, W, W, eye), diags)
 
 
-@lru_cache(maxsize=16)
-def _einsum_paths(n: int, k: int) -> tuple:
-    """The contraction orders ``optimize=True`` picks for factor_through_family's two einsums."""
-    stack, blocks = (np.broadcast_to(np.complex128(0), s) for s in ((n, k, k), (n, n, k, k)))
-    eps = np.broadcast_to(np.complex128(0), (n, n))
-    return (np.einsum_path("iab,ijbc,jcd->ijad", stack, blocks, stack, optimize=True)[0],
-            np.einsum_path("ik,kj,ijad->kad", eps, eps, blocks, optimize=True)[0])
+# The contraction orders ``optimize=True`` picks for factor_through_family's two einsums at
+# every n >= 2; at n = 1 it contracts (0, 1) first in the second, with the same bytes.
+_COMPRESS_PATH = ["einsum_path", (0, 1), (0, 1)]
+_AVERAGE_PATH = ["einsum_path", (0, 2), (0, 1)]
 
 
 def _unit(n: int, r: int, c: int) -> np.ndarray:
@@ -258,15 +249,16 @@ def family_from_projections(p: np.ndarray, q: np.ndarray, n: int) -> IsometryFam
     return fam
 
 
-def _diagonal_family(n: int, k: int, m: int) -> IsometryFamily:
-    """``family_from_projections(P[m], P[m], n)`` for P = diagonal_partition(n, k), in closed form.
+def _diagonal_family(part: ProjectionPartition, m: int) -> IsometryFamily:
+    """``family_from_projections(P[m], P[m], n)`` for P = part.projections, in closed form.
 
+    part must be ``diagonal_partition(n, k)``: the closed form assumes it.
     With R the indices of block m and ``order`` R then the others, each
     ascending, v_i[order[i r + t], R[t]] = 1 (r = k/n): the bytes of the eigh
     path, with no eigh and no check, as 0/1 relations are exact.  Other
     projections keep that path (eigh orders degenerate eigenvectors its own way).
     """
-    p = diagonal_partition(n, k).projections[m]  # n | k checked there
+    n, k, p = part.n, part.k, part.projections[m]
     r = k // n
     R = np.arange(m * r, (m + 1) * r)
     order = np.concatenate([R, np.delete(np.arange(k), R)])
@@ -302,8 +294,9 @@ def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     The leading scalar is n**-0.5 [I ... I], the diagonal entries are
     Fourier-weighted sums of the partition projections (norm <= 1), and
     the trailing scalar is the inflated Fourier unitary; the product
-    reproduces the row exactly and bounds its depth-1 cost by 1.  Made in
-    each call, so a shared partition holds its projections only.
+    reproduces the row exactly and bounds its depth-1 cost by 1.  The
+    diagonal repeats each of its n distinct entries n times and takes its
+    norm from those n (a batched SVD gives each matrix the same bits).
     """
     n = part.n
     W = fourier_unitary(n)
@@ -311,7 +304,8 @@ def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     alpha0 = np.hstack([eyen] * n) / np.sqrt(n)
     dvals = np.einsum("im,iab->mab", np.sqrt(n) * W.conj(), part.projections)
     entries = np.repeat(dvals, n, axis=0)  # entry at (m, j) is dvals[m]
-    return RowDecomposition(alpha0, DiagonalMatrix._adopt(entries), np.kron(W, eyen))
+    diag = DiagonalMatrix._adopt(entries, DiagonalMatrix._adopt(dvals).norm())
+    return RowDecomposition(alpha0, diag, np.kron(W, eyen))
 
 
 def pinch_certificate(inner, part: ProjectionPartition):

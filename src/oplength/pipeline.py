@@ -130,11 +130,10 @@ def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
 
     Returns ``(report, certificate)``; ``report.target`` is the pinched matrix.
     """
-    n, k = x.n, x.k
-    part = diagonal_partition(n, k)
+    part = diagonal_partition(x.n, x.k)
     px = pinch(x, part)
     cert, nrm = pinch_assembly(
-        x, part, lambda xs, m: factor_through_family(xs, _diagonal_family(n, k, m))
+        x, part, lambda xs, m: factor_through_family(xs, _diagonal_family(part, m))
     )
     eps = block_l2(x - px)
     report = _report(cert, px, eps, nrm * (1 + 1e-9), 1e-12,
@@ -157,8 +156,9 @@ def _build_length1(x: BlockMatrix):
 
 def _build_compression(x: BlockMatrix):
     # compress through the leading diagonal-block projection (needs n | k)
-    cert = factor_through_family(x, _diagonal_family(x.n, x.k, 0))
-    return cert, pinch(x, ProjectionPartition(diagonal_partition(x.n, x.k).projections[:1]))
+    part = diagonal_partition(x.n, x.k)
+    cert = factor_through_family(x, _diagonal_family(part, 0))
+    return cert, pinch(x, ProjectionPartition(part.projections[:1]))
 
 
 def _build_corner(x: BlockMatrix):
@@ -188,6 +188,14 @@ CONSTRUCTIONS = {
 }
 
 
+def _construction(name: str, argument: str = "construction") -> _Construction:
+    """The named construction; a ValueError naming ``argument`` and the known ones otherwise."""
+    if name not in CONSTRUCTIONS:
+        known = ", ".join(sorted(CONSTRUCTIONS))
+        raise ValueError(f"{argument}: unknown {name!r}; known: {known}")
+    return CONSTRUCTIONS[name]
+
+
 def scalar_digest(cert: FactorizationCertificate) -> str:
     """Content digest of the scalar data (widths and alpha factors)."""
     h = hashlib.sha256()
@@ -207,7 +215,7 @@ def uniformity_check(construction: str, n: int, k: int, trials: int, seed: int) 
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    spec = CONSTRUCTIONS[construction]
+    spec = _construction(construction)
     ref, _ = spec.build(random_instance(n, k, seed=seed * 100003))
     for t in range(1, trials):
         cert, _ = spec.build(random_instance(n, k, seed=seed * 100003 + t))
@@ -237,7 +245,7 @@ def direct_sum_certificate(xs, construction: str):
     for x in xs:
         if x.n != n or x.k != k:
             raise ShapeMismatchError("coordinates must share a common shape")
-    spec = CONSTRUCTIONS[construction]
+    spec = _construction(construction)
     certs, targets = zip(*(spec.build(x) for x in xs))
     ref = certs[0]
     for c in certs[1:]:

@@ -36,8 +36,8 @@ class SimilarityHom:
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=np.complex128)
-        if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
-            raise ValueError("xi must be square")
+        if xi.ndim != 2 or xi.shape[0] != xi.shape[1] or xi.size == 0:
+            raise ValueError(f"xi must be square and non-empty, got shape {xi.shape}")
         if not np.all(np.isfinite(xi)):
             raise ValueError("xi has non-finite entries")
         if not np.linalg.cond(xi) <= 1e14:  # a NaN condition number fails too

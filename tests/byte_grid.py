@@ -1,23 +1,25 @@
-"""One SHA-256 over the bytes of a fixed grid of outputs, to compare two commits.
+"""SHA-256 digests over the bytes of a fixed grid of outputs, to compare two commits.
 
 Run from the repository root, at one BLAS thread (bytes are a one-thread
 property):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/byte_grid.py
 
-It prints one line, ``<sha256> <count> items``.  The grid, built twice, at
+It prints one line ``<section>: <sha256> <count> items`` for each section of
+the grid named below, so a mismatch names its section, then the total line
+``<sha256> <count> items`` over all of them, last.  The grid, built twice, at
 ``evaluate``'s default chunk budget and at one block column per chunk:
 
-- the five constructions on gaussian and blockdiag input (noise 0 and 0.1,
-  seeds 1 and 7) at every ladder shape they fit: alphas, diagonals and
-  the norms they know, targets and ``verify`` reports;
-- ``pinching_pipeline(include_total_bound=True)`` and
+- constructions: the five constructions on gaussian and blockdiag input
+  (noise 0 and 0.1, seeds 1 and 7) at every ladder shape they fit:
+  alphas, diagonals and their norms, targets and ``verify`` reports;
+- pipelines: ``pinching_pipeline(include_total_bound=True)`` and
   ``assemble_from_approximant`` reports and certificates;
-- ``uniformity_check`` digests;
-- the stdout, stderr, exit code and files of CLI ``gen``, ``factor --out``,
-  ``verify``, ``uniformity`` and ``bench --out`` runs.
+- uniformity: ``uniformity_check`` digests;
+- cli: the stdout, stderr, exit code and files of CLI ``gen``,
+  ``factor --out``, ``verify``, ``uniformity`` and ``bench --out`` runs.
 
-A change that claims to keep every byte shows the same line here as its
+A change that claims to keep every byte shows the same lines here as its
 parent.  The file is not collected by pytest.
 """
 
@@ -47,6 +49,7 @@ from oplength import (
     verify,
 )
 
+SECTIONS = ("constructions", "pipelines", "uniformity", "cli")
 SHAPES = ((1, 3), (2, 2), (2, 4), (3, 6), (3, 12), (4, 8), (4, 16), (6, 12), (6, 24), (8, 32))
 INPUTS = (("gaussian", 0.0), ("blockdiag", 0.0), ("blockdiag", 0.1))
 SEEDS = (1, 7)
@@ -99,7 +102,8 @@ def _cert(cert):
         yield f"diag{i}.norm", _num(D.norm())
 
 
-def _constructions():
+def _grid():
+    """The constructions' and the pipelines' items, each input's in turn."""
     for n, k in SHAPES:
         inputs = INPUTS if n * k <= BIG else INPUTS[2:]
         for (dist, noise), seed in ((i, s) for i in inputs for s in SEEDS):
@@ -111,28 +115,28 @@ def _constructions():
                 try:
                     cert, target = spec.build(x)
                 except ShapeMismatchError as exc:
-                    yield f"{tag}/{name}/refused", str(exc).encode()
+                    yield "constructions", f"{tag}/{name}/refused", str(exc).encode()
                     continue
                 for label, b in _cert(cert):
-                    yield f"{tag}/{name}/{label}", b
-                yield f"{tag}/{name}/target", target.blocks.tobytes()
-                yield f"{tag}/{name}/verify", _report(verify(cert, target))
+                    yield "constructions", f"{tag}/{name}/{label}", b
+                yield "constructions", f"{tag}/{name}/target", target.blocks.tobytes()
+                yield "constructions", f"{tag}/{name}/verify", _report(verify(cert, target))
             if k % n == 0 and n * k <= BIG:
                 rep, cert = pinching_pipeline(x, include_total_bound=True)
-                yield f"{tag}/pinching", _report(rep)
+                yield "pipelines", f"{tag}/pinching", _report(rep)
                 for label, b in _cert(cert):
-                    yield f"{tag}/pinching/{label}", b
+                    yield "pipelines", f"{tag}/pinching/{label}", b
                 near, _ = CONSTRUCTIONS["length1" if seed == 1 else "t13"].build(x)
                 z = x + 0.01 * random_instance(n, k, seed + 1)
                 rep, total = assemble_from_approximant(z, near)
-                yield f"{tag}/assembly", _report(rep)
+                yield "pipelines", f"{tag}/assembly", _report(rep)
                 for label, b in _cert(total):
-                    yield f"{tag}/assembly/{label}", b
+                    yield "pipelines", f"{tag}/assembly/{label}", b
 
 
 def _uniformity():
     for name, n, k in UNIFORMITY:
-        yield f"uniformity/{name}/{n},{k}", repr(uniformity_check(name, n, k, 3, 5)).encode()
+        yield "uniformity", f"uniformity/{name}/{n},{k}", repr(uniformity_check(name, n, k, 3, 5)).encode()
 
 
 def _cli():
@@ -143,28 +147,32 @@ def _cli():
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             label = " ".join(a.replace(d, "") for a in argv)
-            yield label, f"{code}\n{out.getvalue()}\n{err.getvalue()}".replace(d, "").encode()
+            yield "cli", label, f"{code}\n{out.getvalue()}\n{err.getvalue()}".replace(d, "").encode()
         for name in sorted(os.listdir(d)):
             with open(os.path.join(d, name), "rb") as f:
-                yield f"file/{name}", f.read()
+                yield "cli", f"file/{name}", f.read()
 
 
 def items():
-    """(label, bytes) of every output on the grid, in a fixed order."""
+    """(section, label, bytes) of every output on the grid, in a fixed order."""
     for budget in (certs._EVALUATE_CHUNK_BYTES, 1):
         with mock.patch.object(certs, "_EVALUATE_CHUNK_BYTES", budget):
-            for label, b in (*_constructions(), *_uniformity(), *_cli()):
-                yield f"{budget}/{label}", b
+            for section, label, b in (*_grid(), *_uniformity(), *_cli()):
+                yield section, f"{budget}/{label}", b
 
 
 def main() -> int:
-    h, count = hashlib.sha256(), 0
-    for label, b in items():
-        for part in (label.encode(), b):
-            h.update(len(part).to_bytes(8, "little"))
-            h.update(part)
-        count += 1
-    print(f"{h.hexdigest()} {count} items")
+    total = [hashlib.sha256(), 0]
+    sections = {name: [hashlib.sha256(), 0] for name in SECTIONS}
+    for section, label, b in items():
+        for digest in (sections[section], total):
+            for part in (label.encode(), b):
+                digest[0].update(len(part).to_bytes(8, "little"))
+                digest[0].update(part)
+            digest[1] += 1
+    for name, (h, count) in sections.items():
+        print(f"{name}: {h.hexdigest()} {count} items")
+    print(f"{total[0].hexdigest()} {total[1]} items")
     return 0
 
 

@@ -53,7 +53,7 @@ def _rebalance_then_sum(cu, cv):
 
 def _dense_evaluate(cert):
     """evaluate with every factor applied as a dense product, no fixed zero used."""
-    with mock.patch.object(FactorizationCertificate, "_runs", property(lambda c: (None,) * c.d)), \
+    with mock.patch.object(certs, "_scalar_runs", lambda a: None), \
             mock.patch.object(DiagonalMatrix, "_block", property(lambda D: None)):
         return evaluate(cert)
 

@@ -31,6 +31,8 @@ from oplength.instances import random_instance
 
 from conftest import random_block
 
+UNKNOWN_CONSTRUCTION = "construction: unknown 'nope'; known: lemma5, length1, sub18, sub19, t13"
+
 
 def near_pair(rng, n, k, defect):
     """A target z, and a certificate for z' = z - x with block_l2(x) small."""
@@ -271,6 +273,10 @@ class TestUniformity:
         with pytest.raises(ShapeMismatchError, match=r"needs n \| k, got n=3, k=4"):
             uniformity_check("lemma5", 3, 4, trials=2, seed=0)
 
+    def test_unknown_construction_names_the_known_ones(self):
+        with pytest.raises(ValueError, match=UNKNOWN_CONSTRUCTION):
+            uniformity_check("nope", 2, 2, trials=2, seed=0)
+
     def test_digest_depends_on_shape(self):
         a = uniformity_check("length1", 2, 2, trials=2, seed=0)
         b = uniformity_check("length1", 3, 2, trials=2, seed=0)
@@ -328,6 +334,11 @@ class TestDirectSum:
         xs = [random_instance(2, 3, seed=s) for s in (1, 2)]
         with pytest.raises(ShapeMismatchError, match=r"needs n \| k"):
             direct_sum_certificate(xs, "t13")
+
+    def test_unknown_construction_names_the_known_ones(self):
+        xs = [random_instance(2, 2, seed=s) for s in (1, 2)]
+        with pytest.raises(ValueError, match=UNKNOWN_CONSTRUCTION):
+            direct_sum_certificate(xs, "nope")
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):

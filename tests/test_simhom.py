@@ -44,6 +44,11 @@ class TestSimilarityHom:
         with pytest.raises(ValueError, match="xi must be square"):
             SimilarityHom(np.ones((2, 3)))
 
+    def test_rejects_empty(self):
+        # numpy's cond has no value on an empty matrix
+        with pytest.raises(ValueError, match=r"xi must be square and non-empty, got shape \(0, 0\)"):
+            SimilarityHom(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("entries", [[np.nan, 1], [1, np.nan], [complex(1, np.nan), 1],
                                          [np.inf, 1]])
     def test_rejects_non_finite_naming_xi(self, entries):
