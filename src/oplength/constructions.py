@@ -249,18 +249,19 @@ def family_from_projections(p: np.ndarray, q: np.ndarray, n: int) -> IsometryFam
     return fam
 
 
-def _diagonal_family(part: ProjectionPartition, m: int) -> IsometryFamily:
-    """``family_from_projections(P[m], P[m], n)`` for P = part.projections, in closed form.
+def _diagonal_family(n: int, k: int, m: int) -> IsometryFamily:
+    """``family_from_projections(P[m], P[m], n)`` for P = diagonal_partition(n, k), in closed form.
 
-    part must be ``diagonal_partition(n, k)``: the closed form assumes it.
     With R the indices of block m and ``order`` R then the others, each
     ascending, v_i[order[i r + t], R[t]] = 1 (r = k/n): the bytes of the eigh
     path, with no eigh and no check, as 0/1 relations are exact.  Other
     projections keep that path (eigh orders degenerate eigenvectors its own way).
     """
-    n, k, p = part.n, part.k, part.projections[m]
     r = k // n
     R = np.arange(m * r, (m + 1) * r)
+    p = np.zeros((k, k), dtype=np.complex128)
+    p[R, R] = 1  # the bytes of diagonal_partition(n, k).projections[m]
+    p.setflags(write=False)
     order = np.concatenate([R, np.delete(np.arange(k), R)])
     v = np.zeros((n, k, k), dtype=np.complex128)
     v[np.arange(n)[:, None], order.reshape(n, r), R] = 1
@@ -294,9 +295,8 @@ def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     The leading scalar is n**-0.5 [I ... I], the diagonal entries are
     Fourier-weighted sums of the partition projections (norm <= 1), and
     the trailing scalar is the inflated Fourier unitary; the product
-    reproduces the row exactly and bounds its depth-1 cost by 1.  The
-    diagonal repeats each of its n distinct entries n times and takes its
-    norm from those n (a batched SVD gives each matrix the same bits).
+    reproduces the row exactly and bounds its depth-1 cost by 1.  Made in
+    each call, so a shared partition holds its projections only.
     """
     n = part.n
     W = fourier_unitary(n)
@@ -304,8 +304,7 @@ def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     alpha0 = np.hstack([eyen] * n) / np.sqrt(n)
     dvals = np.einsum("im,iab->mab", np.sqrt(n) * W.conj(), part.projections)
     entries = np.repeat(dvals, n, axis=0)  # entry at (m, j) is dvals[m]
-    diag = DiagonalMatrix._adopt(entries, DiagonalMatrix._adopt(dvals).norm())
-    return RowDecomposition(alpha0, diag, np.kron(W, eyen))
+    return RowDecomposition(alpha0, DiagonalMatrix._adopt(entries), np.kron(W, eyen))
 
 
 def pinch_certificate(inner, part: ProjectionPartition):

@@ -130,10 +130,11 @@ def pinching_pipeline(x: BlockMatrix, include_total_bound: bool = False):
 
     Returns ``(report, certificate)``; ``report.target`` is the pinched matrix.
     """
-    part = diagonal_partition(x.n, x.k)
+    n, k = x.n, x.k
+    part = diagonal_partition(n, k)
     px = pinch(x, part)
     cert, nrm = pinch_assembly(
-        x, part, lambda xs, m: factor_through_family(xs, _diagonal_family(part, m))
+        x, part, lambda xs, m: factor_through_family(xs, _diagonal_family(n, k, m))
     )
     eps = block_l2(x - px)
     report = _report(cert, px, eps, nrm * (1 + 1e-9), 1e-12,
@@ -157,7 +158,7 @@ def _build_length1(x: BlockMatrix):
 def _build_compression(x: BlockMatrix):
     # compress through the leading diagonal-block projection (needs n | k)
     part = diagonal_partition(x.n, x.k)
-    cert = factor_through_family(x, _diagonal_family(part, 0))
+    cert = factor_through_family(x, _diagonal_family(x.n, x.k, 0))
     return cert, pinch(x, ProjectionPartition(part.projections[:1]))
 
 

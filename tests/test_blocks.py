@@ -13,7 +13,6 @@ from oplength import (
     FactorizationCertificate,
     ShapeMismatchError,
     block_l2,
-    diagonal_partition,
     direct_sum,
     fourier_unitary,
     hermitian_spectral,
@@ -287,7 +286,7 @@ def _zero_one_stacks(case, rng):
     """(N, k, k) stacks of 0/1 entries with at most one 1 in each row and column."""
     if case == "diagonal_family":
         return [s for n, k in ((1, 3), (2, 4), (3, 6), (4, 16), (8, 32)) for m in range(n)
-                for fam in [_diagonal_family(diagonal_partition(n, k), m)] for s in (fam.a, fam.b, fam.c, fam.d)]
+                for fam in [_diagonal_family(n, k, m)] for s in (fam.a, fam.b, fam.c, fam.d)]
     if case == "matrix_unit_family":
         return [s for base, n in ((1, 1), (2, 3), (3, 4)) for r in range(1, n + 1)
                 for c in range(1, n + 1) for fam in [matrix_unit_family(base, n, r, c)]
@@ -297,7 +296,7 @@ def _zero_one_stacks(case, rng):
     if case == "zero":
         return [np.zeros((4, 3, 3), dtype=complex), np.zeros((0, 2, 2), dtype=complex)]
     if case == "signed_zero":
-        e = np.array(_diagonal_family(diagonal_partition(2, 4), 0).a)  # conjugated: 1 - 0j and -0 imaginary parts
+        e = np.array(_diagonal_family(2, 4, 0).a)  # conjugated: 1 - 0j and -0 imaginary parts
         f = np.where(e == 0, complex(-0.0, -0.0), e)
         return [e, f, np.full((2, 3, 3), complex(-0.0, 0.0))]
     stacks = []  # "permutation": random permutation submatrices, k <= 64

@@ -154,6 +154,20 @@ class TestPinchingPipeline:
         assert report.extra["total_passed"]
         assert report.extra["total_cost"] <= report.extra["total_bound"] + 1e-6
 
+    def test_svd_calls_do_not_grow(self, monkeypatch):
+        # a pass at (4,16) SVDs 8 diagonals; a norm found before anything reads it would add
+        # one (the row's own norm, say: pinch_assembly scales that diagonal into a new one)
+        svd, calls = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        report, _ = pinching_pipeline(random_instance(4, 16, 1, "blockdiag", 0.1))
+        assert report.passed
+        assert len(calls) <= 8, calls
+
 
 def fresh_verify(cert, target):
     """verify on a copy of cert, so it recomputes rather than reading cert's kept result."""
