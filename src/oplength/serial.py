@@ -5,12 +5,18 @@ Python's shortest-round-trip float formatting makes write-then-read
 bit-exact.  Output is strict JSON: a non-finite float in a report is
 written as ``null``.
 
-Instance and certificate files are written as text straight from the
-arrays, with no nested Python lists in between, by one generator of text
-pieces (``json_pieces``), one array's text at a time; the bytes are those
-of ``json.dumps`` on the ``[re, im]`` lists, with the same keys, key
-order and separators.  Reading is plain ``json.loads``, so files from any
-other JSON writer load too.
+Arrays are written and read one entry at a time, an entry being one
+slice along the array's first axis, so neither direction holds nested
+Python lists, or text, for a whole array.  ``json_pieces`` is the one
+writer: its pieces are the header, the brackets and separators, and the
+text of each entry, formatted once per distinct entry; the bytes are
+those of ``json.dumps`` on the ``[re, im]`` lists, with the same keys,
+key order and separators.  The reader walks the top-level object itself
+and decodes each entry of ``blocks`` and of each ``alphas`` and
+``diags`` factor with ``json``'s own scanner, so files from any other
+JSON writer load too: any whitespace or key order, and of duplicate keys
+the last one, as ``json.loads`` takes them.  A text ``json.loads``
+refuses is refused with its message.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +40,9 @@ __all__ = [
     "certificate_from_json",
     "dump_report",
 ]
+
+_WS = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().raw_decode
 
 
 def _complex_json(a: np.ndarray) -> str:
@@ -66,6 +77,29 @@ def _complex_json(a: np.ndarray) -> str:
     return "".join(out)
 
 
+def _entries_json(a: np.ndarray) -> Iterator[str]:
+    """``_complex_json(a)`` in pieces: its brackets, separators and the text of each entry.
+
+    Entries are keyed by their bytes, so two that differ only in the sign of
+    a zero stay apart.  An entry that comes again later keeps its text until
+    its last occurrence, so each distinct entry is formatted once.  The last
+    occurrences are found by the hash of the bytes: a collision only keeps a
+    text longer.
+    """
+    last = {hash(e.tobytes()): i for i, e in enumerate(a)}
+    kept = {}
+    yield "["
+    for i, e in enumerate(a):
+        key = e.tobytes()
+        text = kept.pop(key, None) or _complex_json(e)
+        if last[hash(key)] > i:
+            kept[key] = text
+        if i:
+            yield ", "
+        yield text
+    yield "]"
+
+
 def _listed(arrays) -> list:
     """The JSON list of ``arrays`` as parts: its brackets and separators around the arrays."""
     parts = ["["]
@@ -75,14 +109,14 @@ def _listed(arrays) -> list:
 
 
 def json_pieces(obj: BlockMatrix | FactorizationCertificate) -> Iterator[str]:
-    """The JSON text of an instance or a certificate, in pieces of at most one array each.
+    """The JSON text of an instance or a certificate, in pieces of at most one array entry each.
 
     ``"".join`` of the pieces is the text; a writer that sends each piece
-    out as it is made never holds more than one array's text.  A
-    certificate carries its cost under ``claimed_cost`` (ignored on load).
-    Every array is checked finite (ValueError otherwise) before the cost is
-    taken and the pieces are returned, so nothing is refused once the
-    first piece is out.
+    out as it is made never holds more than one entry's text, and the texts
+    of entries that come again.  A certificate carries its cost under
+    ``claimed_cost`` (ignored on load).  Every array is checked finite
+    (ValueError otherwise) before the cost is taken and the pieces are
+    returned, so nothing is refused once the first piece is out.
     """
     if isinstance(obj, BlockMatrix):
         parts = [f'{{"n": {obj.n}, "k": {obj.k}, "blocks": ', obj.blocks, "}"]
@@ -97,27 +131,148 @@ def json_pieces(obj: BlockMatrix | FactorizationCertificate) -> Iterator[str]:
         raise ValueError("non-finite values cannot be written as JSON")
     if isinstance(obj, FactorizationCertificate):
         parts.append(f', "claimed_cost": {json.dumps(_finite_or_null(cost(obj)))}}}')
-    return (p if isinstance(p, str) else _complex_json(p) for p in parts)
+    return chain.from_iterable((p,) if isinstance(p, str) else _entries_json(p) for p in parts)
 
 
-def _document(text: str, scalars, lists) -> dict:
+class _Floats(NamedTuple):
+    """A JSON value read as an array, one entry at a time.
+
+    ``array`` is ``np.asarray(value, dtype=float)``, stacked from its
+    entries' arrays, or None where that raises (not a list, a non-number,
+    ragged nesting); ``bools`` tells whether the value holds a JSON boolean,
+    looked for only when the text has the token.
+    """
+
+    array: np.ndarray | None
+    bools: bool
+
+
+def _items(text: str, pos: int, item, close: str = "]") -> int:
+    """Where the JSON list (or object, ``close="}"``) at ``pos`` ends; ``item(start)`` reads each item.
+
+    ``item`` gets the position of an item's first character and returns the
+    position after the item.
+    """
+    pos = _WS(text, pos + 1).end()
+    if text.startswith(close, pos):
+        return pos + 1
+    while True:
+        pos = _WS(text, item(pos)).end()
+        if text.startswith(close, pos):
+            return pos + 1
+        if not text.startswith(",", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos = _WS(text, pos + 1).end()
+
+
+def _array(text: str, pos: int, scan: bool) -> tuple[_Floats, int]:
+    """The JSON value at ``pos`` as an array, read one entry at a time, and where it ends.
+
+    Each entry is decoded by ``json``, checked for booleans when ``scan`` is
+    set, turned into a float array and appended to one buffer, so no nested
+    lists of the whole array are held.
+    """
+    if not text.startswith("[", pos):
+        value, end = _scan(text, pos)
+        return _Floats(None, scan and _holds_bool(value)), end
+    buf, shape, count, bools = bytearray(), None, 0, False
+
+    def entry(start: int) -> int:
+        nonlocal buf, shape, count, bools
+        value, end = _scan(text, start)
+        bools = bools or (scan and _holds_bool(value))
+        if buf is not None:
+            try:
+                a = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):  # a non-number, or ragged nesting
+                a = None
+            if a is None or shape not in (None, a.shape):
+                buf = None
+            else:
+                buf += a.data
+                shape, count = a.shape, count + 1
+        return end
+
+    end = _items(text, pos, entry)
+    array = None
+    if buf is not None:
+        try:
+            array = np.frombuffer(buf, dtype=np.float64).reshape((count, *shape) if count else (0,))
+        except ValueError:  # more axes than numpy allows
+            pass
+    return _Floats(array, bools), end
+
+
+def _arrays(text: str, pos: int, scan: bool) -> tuple[list, int]:
+    """The JSON list at ``pos`` as a list of arrays, each read by ``_array``, and where it ends."""
+    arrays = []
+
+    def item(start: int) -> int:
+        floats, end = _array(text, start, scan)
+        arrays.append(floats)
+        return end
+
+    return arrays, _items(text, pos, item)
+
+
+def _object(text: str, readers: dict, scan: bool):
+    """The JSON value in ``text``, a top-level object read field by field.
+
+    A field named in ``readers`` whose value is a list is read by its reader
+    (``reader(text, pos, scan) -> (value, end)``); any other value is decoded
+    by ``json``.  Of duplicate keys the last one's value is kept.  A text that
+    is not an object is left to ``json.loads``.
+    """
+    pos = _WS(text).end()
+    if not text.startswith("{", pos):
+        return json.loads(text)
+    doc = {}
+
+    def field(start: int) -> int:
+        if not text.startswith('"', start):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                       text, start)
+        key, pos = json.decoder.scanstring(text, start + 1)
+        pos = _WS(text, pos).end()
+        if not text.startswith(":", pos):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        pos = _WS(text, pos + 1).end()
+        reader = readers.get(key) if text.startswith("[", pos) else None
+        doc[key], end = reader(text, pos, scan) if reader else _scan(text, pos)
+        return end
+
+    end = _WS(text, _items(text, pos, field, "}")).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return doc
+
+
+def _document(text: str, scalars, lists: dict) -> dict:
     """The JSON object in ``text``; every field named must be there, those in ``lists`` as lists.
 
+    ``lists`` maps each list field to its reader (see ``_object``), or to
+    None for a list decoded by ``json``.  A text ``json.loads`` refuses is
+    handed to it, so the error is its own.
     The ``scalars`` and the items of a ``widths`` list must be JSON integers:
     1.0 and true compare equal to 1, so the shape checks would take them.
-    The ``lists`` may hold no true or false, which ``np.asarray`` reads as 1.0
+    The arrays may hold no true or false, which ``np.asarray`` reads as 1.0
     and 0.0; no file the format writes has the token "true" or "false", so
-    the lists are only scanned when the text has one (a string search: about
-    1 ms at 18 MB; a ``null`` claimed cost does not trigger it).
+    the entries are only scanned when the text has one (a string search:
+    about 1 ms at 18 MB; a ``null`` claimed cost does not trigger it).
     """
+    scan = "true" in text or "false" in text
     try:
-        doc = json.loads(text)
+        try:
+            doc = _object(text, lists, scan)
+        except json.JSONDecodeError:
+            json.loads(text)
+            raise
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
         for name in (*scalars, *lists):
             if name not in doc:
                 raise ValueError(f"{name}: missing")
-            if name in lists and not isinstance(doc[name], list):
+            if name in lists and not isinstance(doc[name], (list, _Floats)):
                 raise ValueError(f"{name}: expected a list")
         ints = [(name, doc[name]) for name in scalars]
         if "widths" in lists:
@@ -125,11 +280,11 @@ def _document(text: str, scalars, lists) -> dict:
         for name, v in ints:
             if type(v) is not int:
                 raise ValueError(f"{name}: expected an integer, got {json.dumps(v)}")
-        if "true" in text or "false" in text:
-            for name in lists:
-                if _holds_bool(doc[name]):
-                    raise ValueError(f"{name}: expected numbers, got a JSON boolean")
-    except RecursionError:  # json.loads and _holds_bool recurse once per level of nesting
+        for name in lists:
+            v = doc[name]
+            if any(f.bools for f in ([v] if isinstance(v, _Floats) else v) if type(f) is _Floats):
+                raise ValueError(f"{name}: expected numbers, got a JSON boolean")
+    except RecursionError:  # json and _holds_bool recurse once per level of nesting
         raise ValueError("JSON nested too deeply") from None
     return doc
 
@@ -138,17 +293,14 @@ def _holds_bool(v) -> bool:
     return type(v) is bool or (type(v) is list and any(map(_holds_bool, v)))
 
 
-def _decode_complex(data, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):  # a non-number, or ragged nesting
-        arr = None
-    if arr is None or arr.ndim == 0 or arr.shape[-1] != 2:
+def _decode_complex(floats: _Floats, name: str) -> np.ndarray:
+    arr = floats.array
+    if arr is None or arr.shape[-1] != 2:
         raise ValueError(f"{name}: complex arrays must be nested lists of [re, im] pairs")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite entries in {name}")
     # a view, not re + 1j * im, which turns a -0 real or imaginary part into +0
-    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
+    return arr.view(np.complex128)[..., 0]
 
 
 def _finite_or_null(v):
@@ -160,7 +312,7 @@ def instance_to_json(x: BlockMatrix) -> str:
 
 
 def instance_from_json(text: str) -> BlockMatrix:
-    doc = _document(text, ("n", "k"), ("blocks",))
+    doc = _document(text, ("n", "k"), {"blocks": _array})
     blocks = _decode_complex(doc["blocks"], "blocks")
     if blocks.shape != (doc["n"], doc["n"], doc["k"], doc["k"]):
         raise ValueError(
@@ -175,12 +327,13 @@ def certificate_to_json(cert: FactorizationCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> FactorizationCertificate:
-    doc = _document(text, ("d", "k"), ("widths", "alphas", "diags"))
+    doc = _document(text, ("d", "k"), {"widths": None, "alphas": _arrays, "diags": _arrays})
     alphas = tuple(_decode_complex(a, f"alphas[{i}]") for i, a in enumerate(doc["alphas"]))
     diags = []
     for i, D in enumerate(doc["diags"]):
         try:
-            diags.append(DiagonalMatrix(_decode_complex(D, f"diags[{i}]")))
+            # the decoded array is new and held by nothing else: adopted, not copied
+            diags.append(DiagonalMatrix._adopt(_decode_complex(D, f"diags[{i}]")))
         except ShapeMismatchError as exc:
             raise ShapeMismatchError(f"diags[{i}]: {exc}") from None
     cert = FactorizationCertificate(alphas, tuple(diags))

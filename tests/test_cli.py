@@ -69,7 +69,139 @@ EDGE_DOUBLES = [
 ]
 
 
+@pytest.fixture(scope="module")
+def sub19_6_12():
+    """The sub19 certificate at (6, 12): 15 MB of arrays, an 18 MB file; costed, as factor has it."""
+    cert, _ = CONSTRUCTIONS["sub19"].build(random_instance(6, 12, 7))
+    cost(cert)
+    return cert
+
+
+def holds_bool(v):
+    return type(v) is bool or (type(v) is list and any(map(holds_bool, v)))
+
+
+def oracle_document(text, scalars, lists):
+    """The whole-text reading: ``json.loads``, the field and integer checks, the boolean scan."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        if any(name not in doc for name in (*scalars, *lists)):
+            raise ValueError("missing")
+        if any(not isinstance(doc[name], list) for name in lists):
+            raise ValueError("expected a list")
+        ints = [doc[name] for name in scalars] + list(doc.get("widths", []))
+        if any(type(v) is not int for v in ints):
+            raise ValueError("expected an integer")
+        if any(holds_bool(doc[name]) for name in lists):
+            raise ValueError("expected numbers")
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    return doc
+
+
+def oracle_complex(data):
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("not [re, im] pairs") from None
+    if arr.ndim == 0 or arr.shape[-1] != 2 or not np.all(np.isfinite(arr)):
+        raise ValueError("not finite [re, im] pairs")
+    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
+
+
+def oracle_instance(text):
+    doc = oracle_document(text, ("n", "k"), ("blocks",))
+    blocks = oracle_complex(doc["blocks"])
+    if blocks.shape != (doc["n"], doc["n"], doc["k"], doc["k"]):
+        raise ValueError("inconsistent instance dimensions")
+    return BlockMatrix(blocks)
+
+
+def oracle_certificate(text):
+    doc = oracle_document(text, ("d", "k"), ("widths", "alphas", "diags"))
+    cert = FactorizationCertificate(tuple(map(oracle_complex, doc["alphas"])),
+                                    tuple(DiagonalMatrix(oracle_complex(D)) for D in doc["diags"]))
+    if list(cert.widths) != doc["widths"] or cert.d != doc["d"] or cert.k != doc["k"]:
+        raise ValueError("certificate header disagrees with factor shapes")
+    return cert
+
+
+def read_outcome(read, text):
+    """The shapes and bytes of every array ``read`` takes from ``text``, or None if it refuses it."""
+    try:
+        obj = read(text)
+    except ValueError:
+        return None
+    arrays = [obj.blocks] if isinstance(obj, BlockMatrix) else [
+        *obj.alphas, *(D.entries for D in obj.diags)]
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def file_texts(draw):
+    """An instance or certificate file, as another JSON writer might lay it out, often broken."""
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        read, oracle = instance_from_json, oracle_instance
+        doc = json.loads(instance_to_json(BlockMatrix(wide_complex(rng, (n, n, k, k)))))
+    else:
+        read, oracle = certificate_from_json, oracle_certificate
+        widths = (n,) + tuple(int(w) for w in rng.integers(1, 4, size=draw(st.integers(1, 3))))
+        widths += (n,)
+        cert = FactorizationCertificate(
+            tuple(wide_complex(rng, (widths[i], widths[i + 1])) for i in range(len(widths) - 1)),
+            tuple(DiagonalMatrix(wide_complex(rng, (w, k, k))) for w in widths[1:-1]),
+        )
+        doc = json.loads(certificate_to_json(cert))
+    items = list(doc.items())
+    if draw(st.booleans()):
+        items = draw(st.permutations(items))
+    # duplicate keys: json.loads keeps the last value, and only it is judged
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from([key for key, _ in items]))
+        value = draw(st.sampled_from([doc[key], [], [True], {"x": 1}, 1.5, [[1.0, 0.0]],
+                                      [[[[[float("nan"), 0.0]]]]], doc["k"]]))
+        items.insert(draw(st.integers(0, len(items))), (key, value))
+    indent = draw(st.sampled_from([None, None, 0, 1, "\t", " \r\n "]))
+    separators = draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,\n", " :\t")]))
+    text = "{" + separators[0].join(
+        json.dumps(key) + separators[1] + json.dumps(v, indent=indent, separators=separators)
+        for key, v in items) + "}"
+    text = draw(st.sampled_from(["", " ", "\n\t"])) + text + draw(st.sampled_from(["", "\r\n"]))
+    if draw(st.booleans()):  # a number token replaced
+        numbers = list(NUMBER.finditer(text))
+        if numbers:
+            m = draw(st.sampled_from(numbers))
+            token = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-0",
+                                          "true", "false", "null", '"1.0"', "1E2", "[]"]))
+            text = text[:m.start()] + token + text[m.end():]
+    mutation = draw(st.sampled_from(["none", "insert", "delete", "truncate"]))
+    if mutation != "none":
+        i = draw(st.integers(0, len(text) - (mutation != "insert")))
+        if mutation == "insert":
+            text = text[:i] + draw(st.sampled_from(list(' \n[]{},:"-+.eE019tfnul\\'))) + text[i:]
+        elif mutation == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i]
+    return read, oracle, text
+
+
 class TestSerialization:
+    @given(case=file_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_reader_agrees_with_whole_text_reading(self, case):
+        # the entry-at-a-time reader takes what json.loads + np.asarray take, with the same
+        # bytes, and refuses the rest with a ValueError
+        read, oracle, text = case
+        assert read_outcome(read, text) == read_outcome(oracle, text)
+
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), k=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_instance_round_trip_bit_exact_property(self, seed, n, k):
@@ -102,6 +234,53 @@ class TestSerialization:
         a = parts.reshape(tuple(shape) + (2,)).view(np.complex128)[..., 0]
         for b in (a, a.T):
             assert _complex_json(b) == json.dumps(pairs(b))
+
+    def test_json_pieces_formats_each_distinct_entry_once(self, monkeypatch):
+        # entries keyed by bytes: zeros with a -0.0 real or imaginary part stay apart
+        zero = np.zeros((2, 2), dtype=complex)
+        neg_re, neg_im = zero.copy(), zero.copy()
+        neg_re[0, 1] = complex(-0.0, 0.0)
+        neg_im[0, 1] = complex(0.0, -0.0)
+        eye = np.eye(2, dtype=complex)
+        entries = np.array([zero, eye, neg_re, zero, neg_im, eye, neg_re, 2 * eye, zero])
+        cert = FactorizationCertificate(
+            (np.ones((1, 9)), np.array([[1.0], [-0.0], [1.0], [0.0], [1.0], [-0.0], [2.0], [1.0],
+                                        [0.0]])),
+            (DiagonalMatrix(entries),),
+        )
+        formatted = []
+        original = serial._complex_json
+        monkeypatch.setattr(serial, "_complex_json", lambda a: formatted.append(a.tobytes())
+                            or original(a))
+        text = "".join(json_pieces(cert))
+        want = []
+        for a in (*cert.alphas, cert.diags[0].entries):
+            want += dict.fromkeys(e.tobytes() for e in a)  # distinct, in order of first occurrence
+        assert formatted == want and len(want) == 1 + 4 + 5
+        assert text == json.dumps({
+            "d": 1, "k": 2, "widths": [1, 9, 1],
+            "alphas": [pairs(a) for a in cert.alphas],
+            "diags": [pairs(entries)],
+            "claimed_cost": cost(cert),
+        })
+
+    def test_reading_holds_no_nested_lists_of_a_whole_array(self, sub19_6_12):
+        # json.loads held nested [re, im] lists of every array: 10.5x the arrays' bytes for
+        # this certificate and about 12x for the instance; the reader holds one entry's
+        x = random_instance(8, 32, 7)
+        for read, text, arrays in (
+            (certificate_from_json, certificate_to_json(sub19_6_12),
+             lambda c: [*c.alphas, *(D.entries for D in c.diags)]),
+            (instance_from_json, instance_to_json(x), lambda y: [y.blocks]),
+        ):
+            tracemalloc.start()
+            try:
+                obj = read(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            nbytes = sum(a.nbytes for a in arrays(obj))
+            assert peak < 2.5 * nbytes, f"{read.__name__}: peak {peak} bytes for {nbytes}"
 
     def test_json_pieces_refuses_non_finite(self):
         eye = np.eye(2)
@@ -239,15 +418,13 @@ class TestCli:
             _write_out(json_pieces(cert), str(path))
         assert path.read_bytes() == b"old bytes"
 
-    def test_certificate_file_is_written_one_factor_at_a_time(self, tmp_path):
+    def test_certificate_file_is_written_one_factor_at_a_time(self, tmp_path, sub19_6_12):
         # sub19 at (6, 12): an 18 MB file of five diagonals and six scalars; the
         # whole text held once, as str and as encoded bytes, would peak at 2x its size
-        cert, _ = CONSTRUCTIONS["sub19"].build(random_instance(6, 12, 7))
-        cost(cert)  # factor has costed the certificate before it writes it
         path = tmp_path / "sub19.json"
         tracemalloc.start()
         try:
-            _write_out(json_pieces(cert), str(path))
+            _write_out(json_pieces(sub19_6_12), str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
