@@ -148,10 +148,10 @@ class _Floats(NamedTuple):
 
 
 def _items(text: str, pos: int, item, close: str = "]") -> int:
-    """Where the JSON list (or object, ``close="}"``) at ``pos`` ends; ``item(start)`` reads each item.
+    """Where the JSON list (or object, ``close="}"``) at ``pos`` ends.
 
-    ``item`` gets the position of an item's first character and returns the
-    position after the item.
+    ``item(start)`` reads each item: it gets the position of the item's first
+    character and returns the position after the item.
     """
     pos = _WS(text, pos + 1).end()
     if text.startswith(close, pos):
@@ -265,7 +265,7 @@ def _document(text: str, scalars, lists: dict) -> dict:
         try:
             doc = _object(text, lists, scan)
         except json.JSONDecodeError:
-            json.loads(text)
+            json.loads(text)  # raises json's own error for the text
             raise
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
@@ -281,8 +281,8 @@ def _document(text: str, scalars, lists: dict) -> dict:
             if type(v) is not int:
                 raise ValueError(f"{name}: expected an integer, got {json.dumps(v)}")
         for name in lists:
-            v = doc[name]
-            if any(f.bools for f in ([v] if isinstance(v, _Floats) else v) if type(f) is _Floats):
+            read = [doc[name]] if isinstance(doc[name], _Floats) else doc[name]
+            if any(type(f) is _Floats and f.bools for f in read):
                 raise ValueError(f"{name}: expected numbers, got a JSON boolean")
     except RecursionError:  # json and _holds_bool recurse once per level of nesting
         raise ValueError("JSON nested too deeply") from None

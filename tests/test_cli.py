@@ -71,7 +71,7 @@ EDGE_DOUBLES = [
 
 @pytest.fixture(scope="module")
 def sub19_6_12():
-    """The sub19 certificate at (6, 12): 15 MB of arrays, an 18 MB file; costed, as factor has it."""
+    """sub19 at (6, 12): 15 MB of arrays in an 18 MB file; costed, as factor has it."""
     cert, _ = CONSTRUCTIONS["sub19"].build(random_instance(6, 12, 7))
     cost(cert)
     return cert
@@ -129,7 +129,7 @@ def oracle_certificate(text):
 
 
 def read_outcome(read, text):
-    """The shapes and bytes of every array ``read`` takes from ``text``, or None if it refuses it."""
+    """The shapes and bytes of the arrays ``read`` takes from ``text``; None if it refuses it."""
     try:
         obj = read(text)
     except ValueError:
