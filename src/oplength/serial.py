@@ -147,8 +147,8 @@ class _Floats(NamedTuple):
     bools: bool
 
 
-def _items(text: str, pos: int, item, close: str = "]") -> int:
-    """Where the JSON list (or object, ``close="}"``) at ``pos`` ends.
+def _items(text: str, pos: int, item, close: str) -> int:
+    """Where the JSON list (``close="]"``) or object (``close="}"``) at ``pos`` ends.
 
     ``item(start)`` reads each item: it gets the position of the item's first
     character and returns the position after the item.
@@ -193,7 +193,7 @@ def _array(text: str, pos: int, scan: bool) -> tuple[_Floats, int]:
                 shape, count = a.shape, count + 1
         return end
 
-    end = _items(text, pos, entry)
+    end = _items(text, pos, entry, "]")
     array = None
     if buf is not None:
         try:
@@ -212,7 +212,7 @@ def _arrays(text: str, pos: int, scan: bool) -> tuple[list, int]:
         arrays.append(floats)
         return end
 
-    return arrays, _items(text, pos, item)
+    return arrays, _items(text, pos, item, "]")
 
 
 def _object(text: str, readers: dict, scan: bool):
