@@ -139,7 +139,7 @@ class _Floats(NamedTuple):
 
     ``array`` is ``np.asarray(value, dtype=float)``, stacked from its
     entries' arrays, or None where that raises (not a list, a non-number,
-    ragged nesting); ``bools`` tells whether the value holds a JSON boolean,
+    ragged nesting, an integer too large for a double); ``bools`` tells whether the value holds a JSON boolean,
     looked for only when the text has the token.
     """
 
@@ -184,7 +184,8 @@ def _array(text: str, pos: int, scan: bool) -> tuple[_Floats, int]:
         if buf is not None:
             try:
                 a = np.asarray(value, dtype=float)
-            except (TypeError, ValueError):  # a non-number, or ragged nesting
+            except (TypeError, ValueError, OverflowError):  # a non-number, ragged nesting,
+                # or an integer beyond the doubles
                 a = None
             if a is None or shape not in (None, a.shape):
                 buf = None

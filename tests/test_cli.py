@@ -104,7 +104,7 @@ def oracle_document(text, scalars, lists):
 def oracle_complex(data):
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("not [re, im] pairs") from None
     if arr.ndim == 0 or arr.shape[-1] != 2 or not np.all(np.isfinite(arr)):
         raise ValueError("not finite [re, im] pairs")
@@ -166,7 +166,8 @@ def file_texts(draw):
     for _ in range(draw(st.integers(0, 2))):
         key = draw(st.sampled_from([key for key, _ in items]))
         value = draw(st.sampled_from([doc[key], [], [True], {"x": 1}, 1.5, [[1.0, 0.0]],
-                                      [[[[[float("nan"), 0.0]]]]], doc["k"]]))
+                                      [[[[[float("nan"), 0.0]]]]], [[[[[10**400, 0.0]]]]],
+                                      doc["k"]]))
         items.insert(draw(st.integers(0, len(items))), (key, value))
     indent = draw(st.sampled_from([None, None, 0, 1, "\t", " \r\n "]))
     separators = draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,\n", " :\t")]))
@@ -557,9 +558,15 @@ class TestCli:
         ("factor", "inst", lambda doc: {**doc, "blocks": [[[[[1.0, 0.0]]]], [1.0]]}, "blocks: "),
         ("factor", "inst", lambda doc: [doc], "expected a JSON object"),
         ("verify", "cert", lambda doc: "[" * 3000 + "]" * 3000, "error: JSON nested too deeply\n"),
+        ("factor", "inst", lambda doc: {**doc, "blocks": [[[[[10**400, 0.0]]]]]},
+         "blocks: complex arrays must be nested lists of [re, im] pairs"),
+        # only the last "blocks" is judged: the first one's integer is read and let go
+        ("factor", "inst", lambda doc: json.dumps({"blocks": [[[[[10**400, 0.0]]]]]})[:-1] + ", "
+         + json.dumps({**doc, "blocks": {}})[1:], "blocks: expected a list"),
     ], ids=["alphas-number", "widths-null", "alpha-object", "alpha-vector", "alpha-3d",
             "diag-non-square", "cert-list",
-            "blocks-object", "blocks-ragged", "instance-list", "nested-3000-deep"])
+            "blocks-object", "blocks-ragged", "instance-list", "nested-3000-deep",
+            "blocks-huge-integer", "blocks-huge-integer-in-discarded-duplicate"])
     def test_malformed_file_is_usage_error_naming_the_field(self, tmp_path, capsys, command,
                                                             target, malform, named):
         inst = self.run_gen(tmp_path)
