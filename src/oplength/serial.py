@@ -9,9 +9,9 @@ Arrays are written and read one entry at a time, an entry being one
 slice along the array's first axis, so neither direction holds nested
 Python lists, or text, for a whole array.  ``json_pieces`` is the one
 writer: its pieces are the header, the brackets and separators, and the
-text of each entry, formatted once per distinct entry; the bytes are
-those of ``json.dumps`` on the ``[re, im]`` lists, with the same keys,
-key order and separators.  The reader walks the top-level object itself
+text of each entry; the bytes are those of ``json.dumps`` on the
+``[re, im]`` lists, with the same keys, key order and separators.  The
+reader walks the top-level object itself
 and decodes each entry of ``blocks`` and of each ``alphas`` and
 ``diags`` factor with ``json``'s own scanner, so files from any other
 JSON writer load too: any whitespace or key order, and of duplicate keys
@@ -78,25 +78,12 @@ def _complex_json(a: np.ndarray) -> str:
 
 
 def _entries_json(a: np.ndarray) -> Iterator[str]:
-    """``_complex_json(a)`` in pieces: its brackets, separators and the text of each entry.
-
-    Entries are keyed by their bytes, so two that differ only in the sign of
-    a zero stay apart.  An entry that comes again later keeps its text until
-    its last occurrence, so each distinct entry is formatted once.  The last
-    occurrences are found by the hash of the bytes: a collision only keeps a
-    text longer.
-    """
-    last = {hash(e.tobytes()): i for i, e in enumerate(a)}
-    kept = {}
+    """``_complex_json(a)`` in pieces: its brackets, separators and the text of each entry."""
     yield "["
     for i, e in enumerate(a):
-        key = e.tobytes()
-        text = kept.pop(key, None) or _complex_json(e)
-        if last[hash(key)] > i:
-            kept[key] = text
         if i:
             yield ", "
-        yield text
+        yield _complex_json(e)
     yield "]"
 
 
@@ -112,9 +99,8 @@ def json_pieces(obj: BlockMatrix | FactorizationCertificate) -> Iterator[str]:
     """The JSON text of an instance or a certificate, in pieces of at most one array entry each.
 
     ``"".join`` of the pieces is the text; a writer that sends each piece
-    out as it is made never holds more than one entry's text, and the texts
-    of entries that come again.  A certificate carries its cost under
-    ``claimed_cost`` (ignored on load).  Every array is checked finite
+    out as it is made never holds more than one entry's text.  A certificate
+    carries its cost under ``claimed_cost`` (ignored on load).  Every array is checked finite
     (ValueError otherwise) before the cost is taken and the pieces are
     returned, so nothing is refused once the first piece is out.
     """
