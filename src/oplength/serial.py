@@ -11,12 +11,12 @@ Python lists, or text, for a whole array.  ``json_pieces`` is the one
 writer: its pieces are the header, the brackets and separators, and the
 text of each entry; the bytes are those of ``json.dumps`` on the
 ``[re, im]`` lists, with the same keys, key order and separators.  The
-reader walks the top-level object itself
-and decodes each entry of ``blocks`` and of each ``alphas`` and
-``diags`` factor with ``json``'s own scanner, so files from any other
-JSON writer load too: any whitespace or key order, and of duplicate keys
-the last one, as ``json.loads`` takes them.  A text ``json.loads``
-refuses is refused with its message.
+reader walks the top-level object itself and decodes each entry of
+``blocks`` and of each ``alphas`` and ``diags`` factor with ``json``'s
+own scanner, so files from any other JSON writer load too: any
+whitespace or key order, and of duplicate keys the last one, as
+``json.loads`` takes them.  A text ``json.loads`` refuses is refused
+with its message.
 """
 
 from __future__ import annotations
@@ -100,9 +100,10 @@ def json_pieces(obj: BlockMatrix | FactorizationCertificate) -> Iterator[str]:
 
     ``"".join`` of the pieces is the text; a writer that sends each piece
     out as it is made never holds more than one entry's text.  A certificate
-    carries its cost under ``claimed_cost`` (ignored on load).  Every array is checked finite
-    (ValueError otherwise) before the cost is taken and the pieces are
-    returned, so nothing is refused once the first piece is out.
+    carries its cost under ``claimed_cost`` (ignored on load).  Every array
+    is checked finite (ValueError otherwise) before the cost is taken and
+    the pieces are returned, so nothing is refused once the first piece is
+    out.
     """
     if isinstance(obj, BlockMatrix):
         parts = [f'{{"n": {obj.n}, "k": {obj.k}, "blocks": ', obj.blocks, "}"]
@@ -125,8 +126,9 @@ class _Floats(NamedTuple):
 
     ``array`` is ``np.asarray(value, dtype=float)``, stacked from its
     entries' arrays, or None where that raises (not a list, a non-number,
-    ragged nesting, an integer too large for a double); ``bools`` tells whether the value holds a JSON boolean,
-    looked for only when the text has the token.
+    ragged nesting, an integer too large for a double); ``bools`` tells
+    whether the value holds a JSON boolean, looked for only when the text
+    has the token.
     """
 
     array: np.ndarray | None
@@ -170,8 +172,7 @@ def _array(text: str, pos: int, scan: bool) -> tuple[_Floats, int]:
         if buf is not None:
             try:
                 a = np.asarray(value, dtype=float)
-            except (TypeError, ValueError, OverflowError):  # a non-number, ragged nesting,
-                # or an integer beyond the doubles
+            except (TypeError, ValueError, OverflowError):  # non-number, ragged, too large
                 a = None
             if a is None or shape not in (None, a.shape):
                 buf = None
