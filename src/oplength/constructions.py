@@ -20,7 +20,6 @@ from .blocks import (
     _phase_normalize,
     block_diag,
     fourier_unitary,
-    normalized_trace,
     operator_norm,
 )
 from .certs import (
@@ -50,14 +49,14 @@ __all__ = [
 ]
 
 
-# Absolute tolerance on the algebraic relations of families, partitions and projections.
+# Absolute tolerance on the algebraic relations of families and projections.
 _RELATION_TOL = 1e-10
 
 
 def _product_excess(left: np.ndarray, right: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """The (n, n) maxima of |l_i r_j - delta_ij diag_i| over (n, k, k) stacks l, r.
+    """The (n, n) maxima of |l_i r_j - delta_ij diag| over (n, k, k) stacks l, r.
 
-    One GEMM [l_0; ...; l_{n-1}] @ [r_0 ... r_{n-1}]; ``diag`` is (k, k) or (n, k, k).
+    One GEMM [l_0; ...; l_{n-1}] @ [r_0 ... r_{n-1}]; ``diag`` is (k, k).
     """
     n, k = left.shape[0], left.shape[1]
     prod = left.reshape(n * k, k) @ right.transpose(1, 0, 2).reshape(k, n * k)
@@ -105,48 +104,39 @@ class IsometryFamily:
 
 @dataclass(frozen=True)
 class ProjectionPartition:
-    """n pairwise-orthogonal projections of normalized trace exactly 1/n; a read-only copy."""
+    """The n diagonal-block projections p_m of M_k (n >= 1 dividing k), each of trace 1/n.
 
-    projections: np.ndarray  # (n, k, k)
+    p_m is 1 on the diagonal of block m (:meth:`_block`) and 0 elsewhere, so
+    p_m* = p_m, p_m p_j = delta_mj p_m and sum_m p_m = 1 hold exactly.
+    """
+
+    n: int
+    k: int
 
     def __post_init__(self):
-        P = np.array(self.projections, dtype=np.complex128)
-        if P.ndim != 3 or not P.shape[0] > 0 < P.shape[1] == P.shape[2]:
-            raise ShapeMismatchError(f"expected (n, k, k) projections, got {P.shape}")
+        if self.n < 1 or self.k < 1 or self.k % self.n:
+            raise ShapeMismatchError(
+                f"the diagonal partition needs n | k, got n={self.n}, k={self.k}")
+
+    def _block(self, m: int) -> slice:
+        """The k/n indices that p_m projects onto."""
+        r = self.k // self.n
+        return slice(m * r, (m + 1) * r)
+
+    @property
+    def projections(self) -> np.ndarray:
+        """The read-only (n, k, k) stack of the 0/1 projections, built at each read."""
+        P = np.zeros((self.n, self.k, self.k), dtype=np.complex128)
+        for m in range(self.n):
+            s = self._block(m)
+            P[m, s, s] = np.eye(self.k // self.n)
         P.setflags(write=False)
-        object.__setattr__(self, "projections", P)
-
-    @property
-    def n(self) -> int:
-        return self.projections.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.projections.shape[1]
-
-    def validate(self) -> None:
-        """Check p_m* = p_m, p_m p_j = delta_mj p_m (one stacked GEMM) and the traces."""
-        P, n = self.projections, self.n
-        excess = _product_excess(P, P, P)
-        for m, pm in enumerate(P):
-            if np.abs(pm - pm.conj().T).max() > _RELATION_TOL or excess[m, m] > _RELATION_TOL:
-                raise ValueError(f"partition element {m} is not a projection")
-            if abs(normalized_trace(pm) - 1.0 / n) > 1e-12:
-                raise ValueError(f"partition element {m} has trace != 1/n")
-        pairs = np.argwhere(np.triu(excess, 1) > _RELATION_TOL)
-        if pairs.size:
-            m, mp = pairs[0]
-            raise ValueError(f"elements {m}, {mp} are not orthogonal")
-        if operator_norm(P.sum(axis=0)) > 1 + _RELATION_TOL:
-            raise ValueError("partition sum exceeds the identity")
+        return P
 
 
 def diagonal_partition(n: int, k: int) -> ProjectionPartition:
-    """The n diagonal-block projections of M_k (n >= 1 dividing k); 0/1 data, exact relations."""
-    if n < 1 or k % n:
-        raise ShapeMismatchError(f"the diagonal partition needs n | k, got n={n}, k={k}")
-    eye = np.eye(n, dtype=np.complex128)
-    return ProjectionPartition(np.stack([np.kron(np.diag(e), np.eye(k // n)) for e in eye]))
+    """The n diagonal-block projections of M_k (n >= 1 dividing k)."""
+    return ProjectionPartition(n, k)
 
 
 def universal_depth1(x: BlockMatrix) -> FactorizationCertificate:
@@ -171,7 +161,7 @@ def factor_through_family(x: BlockMatrix, fam: IsometryFamily) -> FactorizationC
     of its entries has norm at most ||x||.  Scalar factors are
     (identity, W, W, identity) with W the Fourier unitary of size n.
     fam must satisfy its relations (exact for :func:`matrix_unit_family` and
-    the diagonal partition's families, checked in
+    the closed-form families of a diagonal-partition element, checked in
     :func:`family_from_projections`); one that breaks them gives
     a certificate that fails ``verify`` against [p x_ij q], never a false pass.
     """
@@ -258,9 +248,9 @@ def _diagonal_family(n: int, k: int, m: int) -> IsometryFamily:
     projections keep that path (eigh orders degenerate eigenvectors its own way).
     """
     r = k // n
-    R = np.arange(m * r, (m + 1) * r)
+    R = np.arange(k)[diagonal_partition(n, k)._block(m)]
     p = np.zeros((k, k), dtype=np.complex128)
-    p[R, R] = 1  # the bytes of diagonal_partition(n, k).projections[m]
+    p[R, R] = 1  # the bytes of the partition's projections[m], built alone
     p.setflags(write=False)
     order = np.concatenate([R, np.delete(np.arange(k), R)])
     v = np.zeros((n, k, k), dtype=np.complex128)
@@ -296,7 +286,7 @@ def partition_row_decomposition(part: ProjectionPartition) -> RowDecomposition:
     Fourier-weighted sums of the partition projections (norm <= 1), and
     the trailing scalar is the inflated Fourier unitary; the product
     reproduces the row exactly and bounds its depth-1 cost by 1.  Made in
-    each call, so a shared partition holds its projections only.
+    each call, from the projections the partition builds at each read.
     """
     n = part.n
     W = fourier_unitary(n)
@@ -317,8 +307,7 @@ def pinch_certificate(inner, part: ProjectionPartition):
     construction's certificates of one shape do (:class:`UniformityError`
     otherwise), so the cost is at most the largest inner cost: the row
     decompositions are contractions and the direct sum of the rebalanced
-    inner certificates costs as much as its largest summand.  part must be
-    a partition (exact for :func:`diagonal_partition`), else verify fails.
+    inner certificates costs as much as its largest summand.
 
     The value is ``conjugate(row, direct_sum(rebalance_diags(inner(m)) for m
     in range(n)))`` bit for bit, but each later inner certificate is checked
@@ -375,16 +364,14 @@ def diagonal_embedding_certificate(x: BlockMatrix) -> FactorizationCertificate:
 def pinch(x: BlockMatrix, part: ProjectionPartition) -> BlockMatrix:
     """Entrywise sum_m p_m x_ij p_m; contractive and idempotent.
 
-    One batched matmul pair p_m @ x @ p_m per partition element, added in
-    place to a +0 accumulator: O(n^3 k^3) work, all of it in BLAS.  For
-    0/1 projections (``diagonal_partition``) every output element is one
-    exact product 1 * x_ij[a, d] plus exact zeros.  The +0 start turns
-    a -0 that BLAS can leave in an all-zero sum (OpenBLAS does at block
-    orders 6, 9 and 10) into +0, as the defining sum does.
+    p_m x_ij p_m keeps block m of x_ij and zeroes the rest, so each of the n
+    diagonal blocks is added into a +0 start: O(n^2 k^2) copies, no product.
+    The +0 start turns a -0 entry into +0, as the defining sum does.
     """
     if x.k != part.k:
         raise ShapeMismatchError("block order mismatch")
     out = np.zeros_like(x.blocks)
-    for pm in part.projections:
-        out += pm @ x.blocks @ pm
+    for m in range(part.n):
+        s = part._block(m)
+        out[..., s, s] += x.blocks[..., s, s]
     return BlockMatrix(out)

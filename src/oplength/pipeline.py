@@ -22,7 +22,6 @@ from .certs import (
     verify,
 )
 from .constructions import (
-    ProjectionPartition,
     _diagonal_family,
     _unit,
     corner_embedding_certificate,
@@ -157,9 +156,10 @@ def _build_length1(x: BlockMatrix):
 
 def _build_compression(x: BlockMatrix):
     # compress through the leading diagonal-block projection (needs n | k)
-    part = diagonal_partition(x.n, x.k)
-    cert = factor_through_family(x, _diagonal_family(x.n, x.k, 0))
-    return cert, pinch(x, ProjectionPartition(part.projections[:1]))
+    s = diagonal_partition(x.n, x.k)._block(0)
+    target = np.zeros_like(x.blocks)
+    target[..., s, s] += x.blocks[..., s, s]  # p_0 x_ij p_0, with pinch's +0 start
+    return factor_through_family(x, _diagonal_family(x.n, x.k, 0)), BlockMatrix(target)
 
 
 def _build_corner(x: BlockMatrix):

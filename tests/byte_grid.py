@@ -12,7 +12,9 @@ the grid named below, so a mismatch names its section, then the total line
 
 - constructions: the five constructions on gaussian and blockdiag input
   (noise 0 and 0.1, seeds 1 and 7) at every ladder shape they fit:
-  alphas, diagonals and their norms, targets and ``verify`` reports;
+  alphas, diagonals and their norms, targets and ``verify`` reports; and
+  on gaussian input with a fixed share of its real and imaginary parts
+  set to -0.0 (``signed-zero``), where a pinch that kept a -0 would show;
 - pipelines: ``pinching_pipeline(include_total_bound=True)`` and
   ``assemble_from_approximant`` reports and certificates;
 - uniformity: ``uniformity_check`` digests;
@@ -39,6 +41,7 @@ import numpy as np
 
 from oplength import (
     CONSTRUCTIONS,
+    BlockMatrix,
     ShapeMismatchError,
     assemble_from_approximant,
     certs,
@@ -51,7 +54,8 @@ from oplength import (
 
 SECTIONS = ("constructions", "pipelines", "uniformity", "cli")
 SHAPES = ((1, 3), (2, 2), (2, 4), (3, 6), (3, 12), (4, 8), (4, 16), (6, 12), (6, 24), (8, 32))
-INPUTS = (("gaussian", 0.0), ("blockdiag", 0.0), ("blockdiag", 0.1))
+INPUTS = (("gaussian", 0.0), ("blockdiag", 0.0), ("blockdiag", 0.1), ("signed-zero", 0.0))
+NEG_ZERO_SHARE = 0.25  # of the signed-zero input's real and imaginary parts
 SEEDS = (1, 7)
 SUB19_MAX = 48  # n * k: sub19 works over M_{n k}
 BIG = 6 * 24  # n * k above which only t13 and the pipelines run, on one input
@@ -102,12 +106,22 @@ def _cert(cert):
         yield f"diag{i}.norm", _num(D.norm())
 
 
+def _instance(n, k, seed, dist, noise):
+    """``random_instance``; for signed-zero, gaussian with a share of its parts set to -0.0."""
+    if dist != "signed-zero":
+        return random_instance(n, k, seed, dist, noise)
+    parts = random_instance(n, k, seed).blocks.view(np.float64).copy()
+    rng = np.random.default_rng([seed, n, k, 0])
+    parts[rng.random(parts.shape) < NEG_ZERO_SHARE] = -0.0
+    return BlockMatrix(parts.view(np.complex128))
+
+
 def _grid():
     """The constructions' and the pipelines' items, each input's in turn."""
     for n, k in SHAPES:
-        inputs = INPUTS if n * k <= BIG else INPUTS[2:]
+        inputs = INPUTS if n * k <= BIG else INPUTS[2:3]
         for (dist, noise), seed in ((i, s) for i in inputs for s in SEEDS):
-            x = random_instance(n, k, seed, dist, noise)
+            x = _instance(n, k, seed, dist, noise)
             tag = f"{n},{k},{dist},{noise},{seed}"
             for name, spec in CONSTRUCTIONS.items():
                 if (name == "sub19" and n * k > SUB19_MAX) or (n * k > BIG and name != "t13"):
