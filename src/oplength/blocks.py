@@ -221,7 +221,7 @@ class DiagonalMatrix:
         return self if c == 1 else DiagonalMatrix._adopt(self.entries * c)
 
     @classmethod
-    def _sums(cls, rows, sizes, k: int, norms=None) -> tuple:
+    def _sums(cls, rows, sizes, k: int) -> tuple:
         """Diagonal i of the result holds part i of each of ``rows``, one row after another.
 
         A row is a sequence of ``(diagonal, factor)`` parts, and ``sizes[i]``
@@ -230,11 +230,12 @@ class DiagonalMatrix:
         into its slice of one new (sizes[i], k, k) array (a factor of 1
         copies), which the result adopts.  Rows are taken one at a time and
         let go once written, so a generator's rows need not be live together.
-        Diagonal i keeps ``norms[i]`` where given and not None; any other
-        norm is found from the summed entries when asked for.
+        Diagonal i keeps np.maximum of its parts' norms from +0 (a NaN stays) where
+        each part has factor 1 and knows its norm: exact, as an SVD's max over a stack
+        is the max over its parts, a 0/1 stack's 1.0 the SVD's; else found when asked.
         """
         outs = [np.empty((N, k, k), dtype=np.complex128) for N in sizes]
-        at = [0] * len(sizes)
+        at, norms = [0] * len(sizes), [0.0] * len(sizes)  # a norm is None once unknown
         for row in rows:
             for i, (D, c) in enumerate(row):
                 part = outs[i][at[i]:at[i] + D.size]
@@ -243,8 +244,10 @@ class DiagonalMatrix:
                 else:
                     np.multiply(D.entries, c, out=part)
                 at[i] += D.size
+                known = norms[i] is not None and c == 1 and "_norm" in D.__dict__
+                norms[i] = float(np.maximum(norms[i], D._norm)) if known else None
             del row, D  # not held while the next row is made
-        return tuple(cls._adopt(out, nrm) for out, nrm in zip(outs, norms or [None] * len(outs)))
+        return tuple(cls._adopt(out, nrm) for out, nrm in zip(outs, norms))
 
 
 def block_diag(mats) -> np.ndarray:

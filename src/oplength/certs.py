@@ -130,6 +130,7 @@ class VerificationReport:
 # bytes of one chunk's widest intermediate in evaluate: a certificate whose whole
 # product fits runs as one chunk, with the operations of the unchunked product
 _EVALUATE_CHUNK_BYTES = 4 << 20
+_TOL = 1e-9  # verify's default tolerance, relative to max(1, ||x||); the CLI's --tol defaults too
 
 
 def _scalar_runs(a: np.ndarray):
@@ -223,7 +224,7 @@ def cost(cert: FactorizationCertificate) -> float:
         return float(_times_norms(np.float64(1.0), norms))
 
 
-def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = 1e-9) -> VerificationReport:
+def verify(cert: FactorizationCertificate, x: BlockMatrix, tol: float = _TOL) -> VerificationReport:
     """Check that the certificate reproduces x within tol (relative to max(1, ||x||)).
 
     It passes on a bound of ||V - X||, V = evaluate(cert), not on an SVD:
@@ -350,8 +351,7 @@ def direct_sum(certs) -> FactorizationCertificate:
     """Certificate for the block-diagonal sum of the values of ``certs``.
 
     Scalar factors are placed block-diagonally and diagonal factors
-    concatenated, so each factor norm is the largest among the summands
-    (a summed diagonal finds its own from its entries, as any diagonal does).
+    concatenated, so each factor norm is the largest among the summands.
     """
     certs = list(certs)
     if not certs:
@@ -377,8 +377,6 @@ def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> Factoriza
     plain sum by Cauchy-Schwarz).  The rebalanced diagonals are never
     built: each summed diagonal is written once from the inputs' entries
     times their unit factors, with the bytes of the rebalance-then-sum.
-    A summed diagonal keeps the larger input norm where neither input is
-    scaled (exact: an SVD's max over a stack is the max over its parts).
     """
     if cu.d != cv.d or cu.n != cv.n or cu.k != cv.k:
         raise ShapeMismatchError("certificates must share depth, outer shape and block order")
@@ -390,8 +388,7 @@ def add(cu: FactorizationCertificate, cv: FactorizationCertificate) -> Factoriza
         + (np.vstack([au[-1], av[-1]]),)
     )
     sizes = [Du.size + Dv.size for Du, Dv in zip(cu.diags, cv.diags)]
-    norms = [max(a, b) if f == g == 1 else None for a, b, f, g in zip(nu, nv, fu, fv)]
-    diags = DiagonalMatrix._sums([zip(cu.diags, fu), zip(cv.diags, fv)], sizes, cu.k, norms)
+    diags = DiagonalMatrix._sums([zip(cu.diags, fu), zip(cv.diags, fv)], sizes, cu.k)
     return FactorizationCertificate(alphas, diags)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import serial
 # operator_norm is unused here but kept bound: perfbench's tracer tests read cli.operator_norm
 from .blocks import ShapeMismatchError, operator_norm  # noqa: F401
-from .certs import verify
+from .certs import _TOL, verify
 from .instances import DISTRIBUTIONS, random_instance
 from .pipeline import CONSTRUCTIONS, UniformityError, _construction, uniformity_check
 from .simhom import similarity_cb_check
@@ -187,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("factor", help="build and verify a certificate")
     f.add_argument("--instance", required=True)
     f.add_argument("--construction", choices=sorted(CONSTRUCTIONS), required=True)
-    f.add_argument("--tol", type=float, default=1e-9)
+    f.add_argument("--tol", type=float, default=_TOL)
     f.add_argument("--out", help="write the certificate file here")
     f.set_defaults(func=cmd_factor)
 
     v = sub.add_parser("verify", help="verify a certificate against an instance")
     v.add_argument("--instance", required=True)
     v.add_argument("--certificate", required=True)
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=float, default=_TOL)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bench", help="cost/norm ratio table (CSV)")
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--k", type=int, default=2)
     b.add_argument("--trials", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--tol", type=float, default=1e-9)
+    b.add_argument("--tol", type=float, default=_TOL)
     b.add_argument("--constructions", default="length1,sub18,sub19,t13")
     b.add_argument("--timings", action="store_true")
     b.add_argument("--out")

@@ -14,6 +14,7 @@ from .blocks import BlockMatrix, DiagonalMatrix, ShapeMismatchError, block_diag,
 from .certs import (
     FactorizationCertificate,
     UniformityError,
+    _TOL,
     _check_same_scalars,
     add,
     cost,
@@ -95,9 +96,8 @@ def assemble_from_approximant(z: BlockMatrix, near_cert: FactorizationCertificat
     n, k = z.n, z.k
     depth = max(near_cert.d, 3)
     mass = block_l2(x)
-    # mass * sqrt(k) is ||x||_F >= ||x||, so below verify's 1e-9 the
-    # approximant's own certificate already reproduces z.
-    if mass * np.sqrt(k) <= 1e-9:
+    # mass * sqrt(k) is ||x||_F >= ||x||: at or below verify's tolerance near_cert reproduces z
+    if mass * np.sqrt(k) <= _TOL:
         eps_used = 0.0
         total = pad_to(near_cert, depth)
     else:

@@ -13,12 +13,15 @@ from oplength import (
     FactorizationCertificate,
     ShapeMismatchError,
     block_l2,
+    diagonal_partition,
     direct_sum,
+    factor_through_family,
     fourier_unitary,
     hermitian_spectral,
     matrix_unit_family,
     normalized_trace,
     operator_norm,
+    pinch_certificate,
     projection_isometries,
     psd_sqrt,
     spectral_projection,
@@ -282,6 +285,29 @@ def _repeated_diagonal(case, k, rng):
     return DiagonalMatrix(np.concatenate([plus, minus, plus]))
 
 
+_ENTRY_KINDS = ["gaussian", "zero_one", "zero", "signed_zero", "repeated"]
+_FACTORS = [1, 1.0, 2.0, 0.5 + 0.5j]
+
+
+def _entries_of_kind(kind, size, k, rng):
+    if kind == "gaussian":
+        return random_entries(rng, size, k)
+    if kind == "zero_one":  # a partial isometry: r ones in distinct rows and columns
+        e = np.zeros((size, k, k), dtype=complex)
+        for entry in e:
+            r = int(rng.integers(0, k + 1))
+            entry[rng.permutation(k)[:r], rng.permutation(k)[:r]] = 1
+        return e
+    if kind == "zero":
+        return np.zeros((size, k, k), dtype=complex)
+    if kind == "signed_zero":  # every other entry all -0, the rest with a -0 first row
+        e = random_entries(rng, size, k)
+        e[:, 0] = complex(-0.0, -0.0)
+        e[::2] = complex(-0.0, -0.0)
+        return e
+    return np.repeat(random_entries(rng, 1, k), size, axis=0)  # "repeated"
+
+
 def _zero_one_stacks(case, rng):
     """(N, k, k) stacks of 0/1 entries with at most one 1 in each row and column."""
     if case == "diagonal_family":
@@ -418,8 +444,8 @@ class TestDiagonalNorm:
     @pytest.mark.parametrize("k", [3, 16])
     @pytest.mark.parametrize("known", [True, False])
     def test_direct_sum_takes_its_norms_from_the_parts(self, k, known, rng, monkeypatch):
-        # the sum finds its norm from its entries, whether or not the parts know theirs:
-        # one SVD batch over data, none over 0/1 entries
+        # parts that know their norms hand the sum their max, with no SVD; else the sum finds
+        # its norm from its entries: one SVD batch over data, none over 0/1 entries
         data = [_repeated_diagonal(case, k, rng) for case in ("repeat", "adjoint", "signed_zero")]
         data.append(DiagonalMatrix(np.full((2, k, k), -0.0, dtype=complex)))
         zero_one = [DiagonalMatrix.unit(5, k), DiagonalMatrix(np.zeros((2, k, k)))]
@@ -429,14 +455,67 @@ class TestDiagonalNorm:
         svd = np.linalg.svd
         calls = []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
-        for parts, svds in ((data + zero_one, 1), (zero_one, 0)):
+        for parts, svds in ((data + zero_one, 0 if known else 1), (zero_one, 0)):
             certs = [FactorizationCertificate((np.ones((1, D.size)), np.ones((D.size, 1))), (D,))
                      for D in parts]
+            # on the second sum the 0/1 parts know their norms: `expected` below took them
+            knew = all("_norm" in D.__dict__ for D in parts)
             calls.clear()
-            got = direct_sum(certs).diags[0].norm()
+            summed = direct_sum(certs).diags[0]
+            assert ("_norm" in summed.__dict__) == knew
+            got = summed.norm()
             assert len(calls) == svds
             expected = max(D.norm() for D in parts)
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_sum_keeps_its_parts_norm_exactly_where_all_are_known_and_unscaled(self, data):
+        k, width = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            row = []
+            for _ in range(width):
+                kind = data.draw(st.sampled_from(_ENTRY_KINDS))
+                D = DiagonalMatrix(_entries_of_kind(kind, int(rng.integers(0, 4)), k, rng))
+                if data.draw(st.booleans()):
+                    D.norm()
+                row.append((D, data.draw(st.sampled_from(_FACTORS))))
+            rows.append(row)
+        keep = [all(c == 1 and "_norm" in D.__dict__ for D, c in (row[i] for row in rows))
+                for i in range(width)]
+        sizes = [sum(row[i][0].size for row in rows) for i in range(width)]
+        for S, kept in zip(DiagonalMatrix._sums(rows, sizes, k), keep):
+            assert ("_norm" in S.__dict__) == kept
+            if kept:
+                want = np.linalg.svd(S.entries, compute_uv=False).max(initial=0.0)
+                assert np.float64(S.norm()).tobytes() == np.float64(want).tobytes()
+
+    def test_a_sum_keeps_a_nan_norm_in_either_order(self):
+        # inf entries have a NaN norm, as the SVD of any stack holding them; Python's max
+        # from +0 would drop it
+        inf = DiagonalMatrix(np.full((1, 2, 2), np.inf, dtype=complex))
+        three = DiagonalMatrix(3 * np.eye(2)[None])
+        for parts in ((inf, three), (three, inf)):
+            for D in parts:
+                D.norm()
+            (S,) = DiagonalMatrix._sums([[(D, 1)] for D in parts], [2], 2)
+            assert "_norm" in S.__dict__ and np.isnan(S.norm())
+            assert np.isnan(np.linalg.svd(S.entries, compute_uv=False).max(initial=0.0))
+
+    @pytest.mark.parametrize("n, k", [(3, 6), (4, 16)])
+    def test_pinch_certificate_keeps_the_family_norm_and_not_the_rescaled_one(self, n, k, rng):
+        # inner diagonals (a, D2, d): a takes the moved norms, D2 is scaled to norm 1, and the
+        # 0/1 d stacks keep factor 1 and the norm they read, so their sum is born with it
+        xs = [random_block(rng, n, n, k) for _ in range(n)]
+        out = pinch_certificate(lambda m: factor_through_family(xs[m], _diagonal_family(n, k, m)),
+                                diagonal_partition(n, k))
+        first, middle, last = out.diags[1:-1]
+        assert "_norm" not in first.__dict__ and "_norm" not in middle.__dict__
+        assert "_norm" in last.__dict__
+        want = np.linalg.svd(last.entries, compute_uv=False).max(initial=0.0)
+        assert np.float64(last.norm()).tobytes() == want.tobytes() == np.float64(1.0).tobytes()
 
     def test_public_constructor_copies_and_derived_entries_are_read_only(self, rng):
         a = random_entries(rng, 3, 2)
