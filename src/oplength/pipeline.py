@@ -20,6 +20,7 @@ from .certs import (
     cost,
     evaluate,
     pad_to,
+    rebalance_diags,
     verify,
 )
 from .constructions import (
@@ -236,8 +237,10 @@ def direct_sum_certificate(xs, construction: str):
 
     All coordinates share the construction's scalar factors; the
     diagonal entries are direct sums of the per-coordinate diagonals.
-    Returns ``(certificate, targets)`` where ``targets[i]`` is the
-    matrix certified at coordinate i.
+    Each coordinate is first put through :func:`rebalance_diags`, which
+    moves all its diagonal norms onto its first diagonal, so the sum costs
+    the largest coordinate cost.  Returns ``(certificate, targets)`` where
+    ``targets[i]`` is the matrix certified at coordinate i.
     """
     xs = list(xs)
     if not xs:
@@ -251,12 +254,16 @@ def direct_sum_certificate(xs, construction: str):
     ref = certs[0]
     for c in certs[1:]:
         _check_same_scalars(c, ref, "across coordinates")
+    certs = [rebalance_diags(c) for c in certs]
     diags = (DiagonalMatrix(block_diag([c.diags[i].entries for c in certs])) for i in range(ref.d))
     return FactorizationCertificate(ref.alphas, tuple(diags)), list(targets)
 
 
 def restrict_direct_sum(cert: FactorizationCertificate, index: int, count: int):
     """The coordinate certificate of a direct-sum certificate of ``count`` coordinates.
+
+    Of a :func:`direct_sum_certificate`, it is the coordinate's certificate
+    after :func:`rebalance_diags`, so it costs that coordinate's cost.
 
     Raises :class:`ShapeMismatchError` unless ``0 <= index < count``,
     ``count`` divides the block order and every diagonal entry vanishes

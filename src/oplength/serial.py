@@ -77,22 +77,14 @@ def _complex_json(a: np.ndarray) -> str:
     return "".join(out)
 
 
-def _entries_json(a: np.ndarray) -> Iterator[str]:
-    """``_complex_json(a)`` in pieces: its brackets, separators and the text of each entry."""
+def _listed(items) -> Iterator[str]:
+    """The JSON list of ``items`` in pieces: brackets and separators around each item's pieces."""
     yield "["
-    for i, e in enumerate(a):
+    for i, item in enumerate(items):
         if i:
             yield ", "
-        yield _complex_json(e)
+        yield from item
     yield "]"
-
-
-def _listed(arrays) -> list:
-    """The JSON list of ``arrays`` as parts: its brackets and separators around the arrays."""
-    parts = ["["]
-    for i, a in enumerate(arrays):
-        parts += [", ", a] if i else [a]
-    return parts + ["]"]
 
 
 def json_pieces(obj: BlockMatrix | FactorizationCertificate) -> Iterator[str]:
@@ -105,20 +97,24 @@ def json_pieces(obj: BlockMatrix | FactorizationCertificate) -> Iterator[str]:
     the pieces are returned, so nothing is refused once the first piece is
     out.
     """
+    def pieces(a):  # an array's JSON text: the list of its entries' texts, each made when reached
+        return _listed([_complex_json(e)] for e in a)
+
     if isinstance(obj, BlockMatrix):
-        parts = [f'{{"n": {obj.n}, "k": {obj.k}, "blocks": ', obj.blocks, "}"]
+        arrays = [obj.blocks]
     else:
-        parts = [
-            f'{{"d": {obj.d}, "k": {obj.k}, "widths": {json.dumps(list(obj.widths))}, "alphas": ',
-            *_listed(obj.alphas),
-            ', "diags": ',
-            *_listed(D.entries for D in obj.diags),
-        ]
-    if not all(np.all(np.isfinite(p)) for p in parts if isinstance(p, np.ndarray)):
+        arrays = [*obj.alphas, *(D.entries for D in obj.diags)]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("non-finite values cannot be written as JSON")
-    if isinstance(obj, FactorizationCertificate):
-        parts.append(f', "claimed_cost": {json.dumps(_finite_or_null(cost(obj)))}}}')
-    return chain.from_iterable((p,) if isinstance(p, str) else _entries_json(p) for p in parts)
+    if isinstance(obj, BlockMatrix):
+        return chain([f'{{"n": {obj.n}, "k": {obj.k}, "blocks": '], pieces(obj.blocks), ["}"])
+    return chain(
+        [f'{{"d": {obj.d}, "k": {obj.k}, "widths": {json.dumps(list(obj.widths))}, "alphas": '],
+        _listed(map(pieces, obj.alphas)),
+        [', "diags": '],
+        _listed(pieces(D.entries) for D in obj.diags),
+        [f', "claimed_cost": {json.dumps(_finite_or_null(cost(obj)))}}}'],
+    )
 
 
 class _Floats(NamedTuple):
@@ -135,19 +131,23 @@ class _Floats(NamedTuple):
     bools: bool
 
 
-def _items(text: str, pos: int, item, close: str) -> int:
-    """Where the JSON list (``close="]"``) or object (``close="}"``) at ``pos`` ends.
+def _items(text: str, pos: int, item, close: str) -> tuple[list, int]:
+    """The items of the JSON list (``close="]"``) or object (``close="}"``) at ``pos``, and its end.
 
     ``item(start)`` reads each item: it gets the position of the item's first
-    character and returns the position after the item.
+    character and returns ``(value, end)``, ``end`` being the position after
+    the item.
     """
+    values = []
     pos = _WS(text, pos + 1).end()
     if text.startswith(close, pos):
-        return pos + 1
+        return values, pos + 1
     while True:
-        pos = _WS(text, item(pos)).end()
+        value, end = item(pos)
+        values.append(value)
+        pos = _WS(text, end).end()
         if text.startswith(close, pos):
-            return pos + 1
+            return values, pos + 1
         if not text.startswith(",", pos):
             raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
         pos = _WS(text, pos + 1).end()
@@ -157,50 +157,37 @@ def _array(text: str, pos: int, scan: bool) -> tuple[_Floats, int]:
     """The JSON value at ``pos`` as an array, read one entry at a time, and where it ends.
 
     Each entry is decoded by ``json``, checked for booleans when ``scan`` is
-    set, turned into a float array and appended to one buffer, so no nested
-    lists of the whole array are held.
+    set and turned into a float array, so no nested lists of the whole array
+    are held; the entries' arrays are stacked into one of exactly their size.
     """
     if not text.startswith("[", pos):
         value, end = _scan(text, pos)
         return _Floats(None, scan and _holds_bool(value)), end
-    buf, shape, count, bools = bytearray(), None, 0, False
+    bools = False
 
-    def entry(start: int) -> int:
-        nonlocal buf, shape, count, bools
+    def entry(start: int) -> tuple:
+        nonlocal bools
         value, end = _scan(text, start)
         bools = bools or (scan and _holds_bool(value))
-        if buf is not None:
-            try:
-                a = np.asarray(value, dtype=float)
-            except (TypeError, ValueError, OverflowError):  # non-number, ragged, too large
-                a = None
-            if a is None or shape not in (None, a.shape):
-                buf = None
-            else:
-                buf += a.data
-                shape, count = a.shape, count + 1
-        return end
-
-    end = _items(text, pos, entry, "]")
-    array = None
-    if buf is not None:
         try:
-            array = np.frombuffer(buf, dtype=np.float64).reshape((count, *shape) if count else (0,))
-        except ValueError:  # more axes than numpy allows
+            return np.asarray(value, dtype=float), end
+        except (TypeError, ValueError, OverflowError):  # non-number, ragged, too large
+            return None, end
+
+    entries, end = _items(text, pos, entry, "]")
+    array = None
+    # checked first: np.stack would make an object array of refused entries
+    if not any(e is None for e in entries):
+        try:
+            array = np.stack(entries) if entries else np.zeros(0)
+        except (ValueError, IndexError):  # unequal shapes; more axes than numpy allows
             pass
     return _Floats(array, bools), end
 
 
 def _arrays(text: str, pos: int, scan: bool) -> tuple[list, int]:
     """The JSON list at ``pos`` as a list of arrays, each read by ``_array``, and where it ends."""
-    arrays = []
-
-    def item(start: int) -> int:
-        floats, end = _array(text, start, scan)
-        arrays.append(floats)
-        return end
-
-    return arrays, _items(text, pos, item, "]")
+    return _items(text, pos, lambda start: _array(text, start, scan), "]")
 
 
 def _object(text: str, readers: dict, scan: bool):
@@ -214,9 +201,8 @@ def _object(text: str, readers: dict, scan: bool):
     pos = _WS(text).end()
     if not text.startswith("{", pos):
         return json.loads(text)
-    doc = {}
 
-    def field(start: int) -> int:
+    def field(start: int) -> tuple:
         if not text.startswith('"', start):
             raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
                                        text, start)
@@ -226,13 +212,14 @@ def _object(text: str, readers: dict, scan: bool):
             raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
         pos = _WS(text, pos + 1).end()
         reader = readers.get(key) if text.startswith("[", pos) else None
-        doc[key], end = reader(text, pos, scan) if reader else _scan(text, pos)
-        return end
+        value, end = reader(text, pos, scan) if reader else _scan(text, pos)
+        return (key, value), end
 
-    end = _WS(text, _items(text, pos, field, "}")).end()
+    fields, end = _items(text, pos, field, "}")
+    end = _WS(text, end).end()
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
-    return doc
+    return dict(fields)
 
 
 def _document(text: str, scalars, lists: dict) -> dict:

@@ -557,13 +557,20 @@ class TestCli:
         ("verify", "cert", lambda doc: "[" * 3000 + "]" * 3000, "error: JSON nested too deeply\n"),
         ("factor", "inst", lambda doc: {**doc, "blocks": [[[[[10**400, 0.0]]]]]},
          "blocks: complex arrays must be nested lists of [re, im] pairs"),
+        # no entry is a number array: stacking the refused entries would make an object array
+        ("factor", "inst", lambda doc: {**doc, "blocks": ["a", "b"]},
+         "blocks: complex arrays must be nested lists of [re, im] pairs"),
+        # one entry of 64 axes reads; stacking it would need 65, more than numpy allows
+        ("factor", "inst", lambda doc: {**doc, "blocks": json.loads("[" * 65 + "0.0" + "]" * 65)},
+         "blocks: complex arrays must be nested lists of [re, im] pairs"),
         # only the last "blocks" is judged: the first one's integer is read and let go
         ("factor", "inst", lambda doc: json.dumps({"blocks": [[[[[10**400, 0.0]]]]]})[:-1] + ", "
          + json.dumps({**doc, "blocks": {}})[1:], "blocks: expected a list"),
     ], ids=["alphas-number", "widths-null", "alpha-object", "alpha-vector", "alpha-3d",
             "diag-non-square", "cert-list",
             "blocks-object", "blocks-ragged", "instance-list", "nested-3000-deep",
-            "blocks-huge-integer", "blocks-huge-integer-in-discarded-duplicate"])
+            "blocks-huge-integer", "blocks-strings", "blocks-entry-64-axes",
+            "blocks-huge-integer-in-discarded-duplicate"])
     def test_malformed_file_is_usage_error_naming_the_field(self, tmp_path, capsys, command,
                                                             target, malform, named):
         inst = self.run_gen(tmp_path)

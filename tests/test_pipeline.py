@@ -25,6 +25,7 @@ from oplength import (
     verify,
 )
 from oplength.blocks import ShapeMismatchError
+from oplength.certs import rebalance_diags
 from oplength import pipeline
 from oplength.pipeline import assemble_from_approximant
 from oplength.instances import random_instance
@@ -320,11 +321,16 @@ class TestDirectSum:
                 np.testing.assert_allclose(entry[2:, 2:], targets[1].blocks[i, j], atol=1e-10)
                 np.testing.assert_allclose(entry[:2, 2:], 0, atol=1e-12)
 
-    def test_cost_is_max_like(self, rng):
-        xs = [random_instance(2, 2, seed=s) for s in (6, 7)]
-        cert, _ = direct_sum_certificate(xs, "length1")
-        parts = [CONSTRUCTIONS["length1"].build(x)[0] for x in xs]
-        assert cost(cert) <= max(cost(c) for c in parts) + 1e-9
+    @pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+    @pytest.mark.parametrize("n, k", [(2, 4), (3, 6)])
+    def test_cost_is_max_like(self, construction, n, k):
+        # coordinates of unequal size: without rebalancing, each summed diagonal takes its own
+        # coordinate's largest norm, and t13 sums cost up to 1.2x their dearest coordinate
+        xs = [BlockMatrix(c * random_instance(n, k, seed=s).blocks)
+              for s, c in ((6, 1.0), (7, 10.0), (8, 100.0))]
+        cert, _ = direct_sum_certificate(xs, construction)
+        parts = [CONSTRUCTIONS[construction].build(x)[0] for x in xs]
+        assert cost(cert) <= max(cost(c) for c in parts) * (1 + 1e-12)
 
     @pytest.mark.parametrize("construction", ["length1", "sub19", "t13"])
     def test_diagonals_are_per_entry_block_diagonals(self, construction):
@@ -336,7 +342,8 @@ class TestDirectSum:
             want = np.zeros((D.size, 3 * kc, 3 * kc), dtype=np.complex128)
             for j in range(D.size):
                 for c, part in enumerate(parts):
-                    want[j, c * kc:(c + 1) * kc, c * kc:(c + 1) * kc] = part.diags[i].entries[j]
+                    want[j, c * kc:(c + 1) * kc, c * kc:(c + 1) * kc] = (
+                        rebalance_diags(part).diags[i].entries[j])
             assert D.entries.tobytes() == want.tobytes()
 
     def test_shape_mismatch_rejected(self, rng):
