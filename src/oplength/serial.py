@@ -98,7 +98,8 @@ def json_pieces(obj: BlockMatrix | FactorizationCertificate) -> Iterator[str]:
     out.
     """
     def pieces(a):  # an array's JSON text: the list of its entries' texts, each made when reached
-        return _listed([_complex_json(e)] for e in a)
+        # by a one-item map, holding no text once out (a list would, while the next is made)
+        return _listed(map(_complex_json, (e,)) for e in a)
 
     if isinstance(obj, BlockMatrix):
         arrays = [obj.blocks]

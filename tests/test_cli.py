@@ -1,5 +1,6 @@
 """Serialization round-trips and the command-line driver."""
 
+import collections
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +41,7 @@ from oplength.serial import (
     json_pieces,
 )
 
-from conftest import random_block
+from conftest import random_block, random_certificate
 
 
 def wide_complex(rng, shape):
@@ -261,6 +263,30 @@ class TestSerialization:
             "diags": [pairs(entries)],
             "claimed_cost": cost(cert),
         })
+
+    def test_json_pieces_hold_no_earlier_entry_text(self, monkeypatch, rng):
+        # a writer that drops each piece once written (as f.writelines does with a piece
+        # larger than its buffer) holds one entry's text at a time: every earlier text is
+        # gone when the next one is made
+        class Text(str):  # a str that can be watched by weakref
+            pass
+
+        made = []
+        original = serial._complex_json
+
+        def formatted(a):
+            assert [ref() for ref in made if ref() is not None] == []
+            text = Text(original(a))
+            made.append(weakref.ref(text))
+            return text
+
+        monkeypatch.setattr(serial, "_complex_json", formatted)
+        cert = random_certificate(rng, n=3)
+        arrays = [*cert.alphas, *(D.entries for D in cert.diags)]
+        for obj, entries in ((random_instance(3, 2, 0), 3), (cert, sum(map(len, arrays)))):
+            made.clear()
+            collections.deque(json_pieces(obj), maxlen=0)  # drops each piece as it comes
+            assert len(made) == entries
 
     def test_reading_holds_no_nested_lists_of_a_whole_array(self, sub19_6_12):
         # json.loads held nested [re, im] lists of every array: 10.5x the arrays' bytes for
